@@ -9,10 +9,12 @@ cache root.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
 
+from .partitions import partitions_through
 from .serialize import SCHEMA_VERSION
 
 ENV_VAR = "SKEINSOLVE_CACHE_DIR"
@@ -38,11 +40,14 @@ class ResultCache:
         return self.root / name
 
     def load(self, geometry: str, max_degree: int) -> str | None:
+        """The stored text, or None (a miss) when the entry is missing,
+        unreadable or not a complete record stream for this key."""
         path = self.path_for(geometry, max_degree)
         try:
-            return path.read_text(encoding="utf-8")
-        except FileNotFoundError:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError):
             return None
+        return text if _is_complete(text, geometry, max_degree) else None
 
     def store(self, geometry: str, max_degree: int, text: str) -> Path:
         path = self.path_for(geometry, max_degree)
@@ -59,3 +64,19 @@ class ResultCache:
                 pass
             raise
         return path
+
+
+def _is_complete(text: str, geometry: str, max_degree: int) -> bool:
+    """Whether text has this key's header and one record per partition
+    through max_degree: every coefficient is a nonzero hook-content product,
+    so a cut entry has too few lines.  The records themselves are not
+    parsed."""
+    try:
+        header = json.loads(text.partition("\n")[0])
+    except ValueError:
+        return False
+    expected = {"kind": "skein-vector", "schema": SCHEMA_VERSION,
+                "geometry": geometry, "max_degree": max_degree}
+    return (isinstance(header, dict)
+            and all(header.get(k) == v for k, v in expected.items())
+            and text.count("\n") == 1 + len(partitions_through(max_degree)))

@@ -168,7 +168,10 @@ def _cmd_psi(args) -> int:
         text = cache.load(args.geometry, args.max_degree)
         if text is None:
             text = _psi_records_text(args.geometry, args.max_degree)
-            cache.store(args.geometry, args.max_degree, text)
+            try:
+                cache.store(args.geometry, args.max_degree, text)
+            except OSError as exc:
+                print(f"warning: result not cached: {exc}", file=sys.stderr)
     if args.format == "records":
         sys.stdout.write(text)
     else:

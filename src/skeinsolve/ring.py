@@ -59,9 +59,6 @@ class SignedMonomial(NamedTuple):
     def to_polynomial(self) -> "LaurentPolynomial":
         return LaurentPolynomial({self.exponent: self.sign})
 
-    def inverse(self) -> "SignedMonomial":
-        return SignedMonomial(self.sign, _exp_neg(self.exponent))
-
     def __str__(self) -> str:
         return str(self.to_polynomial())
 
@@ -757,11 +754,6 @@ def _reduce_fraction(num: LaurentPolynomial,
     return num, den
 
 
-def rf_equal(x: RationalLike, y: RationalLike) -> bool:
-    """Exact equality by cross-multiplication."""
-    return _coerce_rf(x) == _coerce_rf(y)
-
-
 def monomial_ratio(x: RationalLike, y: RationalLike) -> SignedMonomial | None:
     """The signed monomial m with x = m * y, if one exists, else None.
 
@@ -784,13 +776,3 @@ def monomial_ratio(x: RationalLike, y: RationalLike) -> SignedMonomial | None:
     if p == r * m.to_polynomial():
         return m
     return None
-
-
-def substitute(x: RationalFunction | LaurentPolynomial,
-               images: Mapping[str, PolyLike]):
-    """Apply a signed-monomial substitution to a polynomial or rational function."""
-    return x.substitute(images)
-
-
-RF_ZERO = RationalFunction(0)
-RF_ONE = RationalFunction(1)

@@ -105,14 +105,6 @@ class SkeinVector:
         """Coefficients sorted by (degree, reverse-lexicographic partition)."""
         return [(p, self._coeffs[p]) for p in self.partitions()]
 
-    def degree_component(self, n: int) -> "SkeinVector":
-        return SkeinVector(
-            {p: v for p, v in self._coeffs.items() if p.size == n}, self._max_degree)
-
-    def truncate(self, max_degree: int) -> "SkeinVector":
-        return SkeinVector(
-            {p: v for p, v in self._coeffs.items() if p.size <= max_degree}, max_degree)
-
     def __add__(self, other: "SkeinVector") -> "SkeinVector":
         if not isinstance(other, SkeinVector):
             return NotImplemented

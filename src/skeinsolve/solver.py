@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import permutations as _permutations, product as _cartesian
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .partitions import (
     BOX,
@@ -35,6 +35,7 @@ from .ring import (
     RationalFunction,
     S,
     SignedMonomial,
+    ZERO,
     monomial,
     monomial_ratio,
     quantum_bracket,
@@ -66,52 +67,47 @@ class UnknotBranch(Enum):
     PRIME = "prime"
 
 
-def _c3_operator() -> OperatorExpression:
-    return UNKNOT_OP - P10_OP + P01_OP.scale(AL * G)
-
-
-def _unknot_operator() -> OperatorExpression:
-    return (UNKNOT_OP - P10_OP
-            + P01_OP.scale(G * AL * A)
-            - P11_OP.scale(G * A ** -1))
-
-
-def _unknot_prime_operator() -> OperatorExpression:
-    return (UNKNOT_OP - P10_OP
-            - P01_OP.scale(G * AL * A ** -1)
-            + P11_OP.scale(G * A))
-
-
 _OPERATORS = {
-    GeometryTag.C3: _c3_operator,
-    GeometryTag.UNKNOT: _unknot_operator,
-    GeometryTag.UNKNOT_PRIME: _unknot_prime_operator,
+    GeometryTag.C3: UNKNOT_OP - P10_OP + P01_OP.scale(AL * G),
+    GeometryTag.UNKNOT: (UNKNOT_OP - P10_OP
+                         + P01_OP.scale(G * AL * A)
+                         - P11_OP.scale(G * A ** -1)),
+    GeometryTag.UNKNOT_PRIME: (UNKNOT_OP - P10_OP
+                               - P01_OP.scale(G * AL * A ** -1)
+                               + P11_OP.scale(G * A)),
 }
 
 
 @dataclass(frozen=True)
 class Geometry:
-    """A geometry tag together with its annihilation operator."""
+    """A geometry tag together with its annihilation operator, which must
+    have the shape  O - P10 + x P01 + y P11  (ValueError otherwise)."""
 
     tag: GeometryTag
     operator: OperatorExpression
+    _x: LaurentPolynomial = field(init=False, repr=False, compare=False)
+    _y: LaurentPolynomial = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        coeffs = {word: coeff for coeff, word in self.operator.terms}
+        x = coeffs.pop((Generator.P01,), ZERO)
+        y = coeffs.pop((Generator.P11,), ZERO)
+        if coeffs != {(Generator.UNKNOT,): 1, (Generator.P10,): -1}:
+            raise ValueError(f"operator {self.operator} is not of the form "
+                             "O - P10 + x P01 + y P11")
+        object.__setattr__(self, "_x", x)
+        object.__setattr__(self, "_y", y)
 
     def raising_weight(self, cell: Cell) -> LaurentPolynomial:
-        """Coefficient the operator's raising part attaches to an added box."""
-        c = cell.content
-        if self.tag is GeometryTag.C3:
-            return AL * G
-        if self.tag is GeometryTag.UNKNOT:
-            # aL a P01 - a^{-1} P11 folded per box: gamma aL (a - a^{-1} q^c)
-            return G * AL * (A - A ** -1 * monomial(1, s=2 * c))
-        # the primed branch folds to gamma aL (a q^c - a^{-1})
-        return G * AL * (A * monomial(1, s=2 * c) - A ** -1)
+        """Coefficient the operator's raising part attaches to an added box:
+        x + y aL q^{content}, since P11 weights a box by aL q^{content}."""
+        return self._x + self._y * monomial(1, s=2 * cell.content, aL=1)
 
 
 def geometry(tag: GeometryTag | str) -> Geometry:
     if isinstance(tag, str):
         tag = GeometryTag(tag)
-    return Geometry(tag, _OPERATORS[tag]())
+    return Geometry(tag, _OPERATORS[tag])
 
 
 def solve_recursion(geom: Geometry | GeometryTag | str, max_degree: int) -> SkeinVector:
@@ -140,32 +136,18 @@ def solve_recursion(geom: Geometry | GeometryTag | str, max_degree: int) -> Skei
     return SkeinVector(coeffs, max_degree)
 
 
-def solve_from_annihilation(operator: OperatorExpression, max_degree: int,
-                            unknot_value: RationalFunction | None = None) -> SkeinVector:
-    """Reconstruct the normalized solution directly from the operator.
+def _hook_content_product(p: Partition, numerator: Callable[[int], LaurentPolynomial],
+                          gamma: int = 1) -> RationalFunction:
+    """g^{gamma |p|} * prod over cells of numerator(content) / {hook}."""
+    out = RationalFunction(monomial(1, g=gamma * p.size))
+    for c in cells(p):
+        out = out * RationalFunction(numerator(c.content), quantum_bracket(c.hook))
+    return out
 
-    Works for any operator whose diagonal part has nonzero eigenvalue on
-    every nonempty partition; used as an independent uniqueness check and to
-    confirm that rescaling the operator by a unit does not change anything.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    coeffs: dict[Partition, RationalFunction] = {EMPTY: RationalFunction(1)}
-    for degree in range(1, max_degree + 1):
-        # Only the degree-1-below component can contribute at this degree.
-        below = SkeinVector(
-            {p: v for p, v in coeffs.items() if p.size == degree - 1}, degree)
-        residual = operator.apply(below, unknot_value)
-        for mu in enumerate_partitions(degree):
-            eigen = operator.apply(
-                SkeinVector.basis(mu), unknot_value).coefficient(mu)
-            if eigen.is_zero:
-                raise ValueError(
-                    f"operator is not invertible on the diagonal at {mu.parts}")
-            value = -residual.coefficient(mu) / eigen
-            if not value.is_zero:
-                coeffs[mu] = value
-    return SkeinVector(coeffs, max_degree)
+
+def _a_bracket(c: int) -> LaurentPolynomial:
+    """a q^{c/2} - a^{-1} q^{-c/2}"""
+    return LaurentPolynomial({Exponent(s=c, a=1): 1, Exponent(s=-c, a=-1): -1})
 
 
 def closed_form_c3(p: Partition) -> RationalFunction:
@@ -173,11 +155,7 @@ def closed_form_c3(p: Partition) -> RationalFunction:
 
         g^{|p|} * prod over cells of q^{-content/2} / {hook}
     """
-    out = RationalFunction(monomial(1, g=p.size))
-    for c in cells(p):
-        out = out * RationalFunction(
-            monomial(1, s=-c.content), quantum_bracket(c.hook))
-    return out
+    return _hook_content_product(p, lambda c: monomial(1, s=-c))
 
 
 def closed_form_unknot(p: Partition,
@@ -188,14 +166,7 @@ def closed_form_unknot(p: Partition,
         PRIME: g^{|p|} * prod (a q^{c/2} - a^{-1} q^{-c/2}) / {hook}
     """
     sign = -1 if branch is UnknotBranch.PLAIN else 1
-    out = RationalFunction(monomial(1, g=p.size))
-    for c in cells(p):
-        num = LaurentPolynomial({
-            Exponent(s=sign * c.content, a=1): 1,
-            Exponent(s=-sign * c.content, a=-1): -1,
-        })
-        out = out * RationalFunction(num, quantum_bracket(c.hook))
-    return out
+    return _hook_content_product(p, lambda c: _a_bracket(sign * c))
 
 
 def colored_unknot_invariant(p: Partition) -> RationalFunction:
@@ -203,14 +174,7 @@ def colored_unknot_invariant(p: Partition) -> RationalFunction:
 
         prod over cells of (a q^{c/2} - a^{-1} q^{-c/2}) / {hook}
     """
-    out = RationalFunction(1)
-    for c in cells(p):
-        num = LaurentPolynomial({
-            Exponent(s=c.content, a=1): 1,
-            Exponent(s=-c.content, a=-1): -1,
-        })
-        out = out * RationalFunction(num, quantum_bracket(c.hook))
-    return out
+    return _hook_content_product(p, _a_bracket, gamma=0)
 
 
 def closed_form(tag: GeometryTag | str, p: Partition) -> RationalFunction:
@@ -233,17 +197,18 @@ def verify_annihilation(geom: Geometry | GeometryTag | str, psi: SkeinVector,
     return geom.operator.apply(psi, unknot_value).is_zero
 
 
+def swap_symmetry_holds(p: Partition) -> bool:
+    """True iff a -> a^{-1}, q^{1/2} -> -q^{1/2} carries the plain unknot
+    closed form of p onto the primed one, with no leftover sign."""
+    plain = closed_form_unknot(p, UnknotBranch.PLAIN)
+    return plain.substitute({"a": A ** -1, "s": -S}) == closed_form_unknot(
+        p, UnknotBranch.PRIME)
+
+
 def swap_symmetry_check(max_degree: int) -> bool:
-    """Check that a -> a^{-1}, q^{1/2} -> -q^{1/2} carries the plain unknot
-    closed form onto the primed one, with no leftover sign, for every
-    partition through the given degree."""
-    for degree in range(max_degree + 1):
-        for p in enumerate_partitions(degree):
-            plain = closed_form_unknot(p, UnknotBranch.PLAIN)
-            swapped = plain.substitute({"a": A ** -1, "s": -S})
-            if swapped != closed_form_unknot(p, UnknotBranch.PRIME):
-                return False
-    return True
+    """swap_symmetry_holds for every partition through the given degree."""
+    return all(swap_symmetry_holds(p) for degree in range(max_degree + 1)
+               for p in enumerate_partitions(degree))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .partitions import (
-    Partition,
     cells,
     enumerate_partitions,
     hook_polynomial,
@@ -19,7 +18,7 @@ from .partitions import (
     partitions_through,
     verify_branching,
 )
-from .ring import A, S, monomial
+from .ring import S, monomial
 from .skein import (
     OperatorExpression,
     P01_OP,
@@ -30,10 +29,9 @@ from .skein import (
 )
 from .solver import (
     GeometryTag,
-    UnknotBranch,
     closed_form,
-    closed_form_unknot,
     solve_recursion,
+    swap_symmetry_holds,
     verify_annihilation,
 )
 
@@ -120,14 +118,7 @@ def _run_commutator(report: SuiteReport, n: int) -> None:
 def _run_symmetry(report: SuiteReport, n: int) -> None:
     for k in range(n + 1):
         for p in enumerate_partitions(k):
-            report.record(
-                swap_symmetry_check_single(p), lambda p=p: f"partition=({p})")
-
-
-def swap_symmetry_check_single(p: Partition) -> bool:
-    plain = closed_form_unknot(p, UnknotBranch.PLAIN)
-    return plain.substitute({"a": A ** -1, "s": -S}) == closed_form_unknot(
-        p, UnknotBranch.PRIME)
+            report.record(swap_symmetry_holds(p), lambda p=p: f"partition=({p})")
 
 
 def _run_annihilation(report: SuiteReport, n: int) -> None:

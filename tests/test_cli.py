@@ -141,6 +141,29 @@ def test_cache_text_mode_renders_from_records(capsys, isolated_cache):
     assert fresh == first
 
 
+@pytest.mark.parametrize("fmt", ("records", "text"))
+def test_truncated_cache_entry_is_a_miss_and_rewritten(capsys, isolated_cache, fmt):
+    args = ("psi", "--geometry", "c3", "--max-degree", "3", "--format", fmt)
+    code, fresh, _ = run_cli(capsys, *args, "--no-cache")
+    run_cli(capsys, *args)
+    [entry] = isolated_cache.glob("psi-c3-N3-schema*.jsonl")
+    stored = entry.read_bytes()
+    entry.write_bytes(stored[:200])
+    assert run_cli(capsys, *args) == (0, fresh, "")
+    assert entry.read_bytes() == stored
+
+
+def test_unusable_cache_dir_warns_and_still_answers(capsys, tmp_path, monkeypatch):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("SKEINSOLVE_CACHE_DIR", str(not_a_dir))
+    args = ("psi", "--geometry", "c3", "--max-degree", "3", "--format", "records")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    assert out == run_cli(capsys, *args, "--no-cache")[1]
+    assert len(err.splitlines()) == 1 and err.startswith("warning:")
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from skeinsolve import (
     monomial,
     q_int,
     quantum_bracket,
-    rf_equal,
 )
 from skeinsolve.ring import Exponent, SignedMonomial, exact_div_s, monomial_ratio
 
@@ -169,12 +168,12 @@ def test_rf_unit_denominators_are_folded():
 
 
 def test_rf_equal_cross_multiplied():
-    assert rf_equal(RationalFunction(Q - Q ** -1, (S - S ** -1) * (S + S ** -1)), 1)
-    assert rf_equal(RationalFunction(0), RationalFunction(0, 1 + Q))
+    assert RationalFunction(Q - Q ** -1, (S - S ** -1) * (S + S ** -1)) == 1
+    assert RationalFunction(0) == RationalFunction(0, 1 + Q)
     # the degree-2 coefficient identity, two ways of writing it
     lhs = RationalFunction(S ** -1, (Q - Q ** -1) * Z)
     rhs = RationalFunction(1, Z ** 2 * (1 + Q))
-    assert rf_equal(lhs, rhs)
+    assert lhs == rhs
 
 
 @given(rational_functions(), rational_functions(), rational_functions())

@@ -6,7 +6,10 @@ from skeinsolve import (
     CoefficientTemplate,
     G,
     Generator,
+    Geometry,
+    GeometryTag,
     NoSolutionError,
+    OperatorExpression,
     Partition,
     Q,
     RationalFunction,
@@ -24,7 +27,6 @@ from skeinsolve import (
     geometry,
     monomial,
     partitions_through,
-    solve_from_annihilation,
     solve_monomial_coefficients,
     solve_recursion,
     swap_symmetry_check,
@@ -33,6 +35,7 @@ from skeinsolve import (
 )
 from skeinsolve.partitions import BOX, EMPTY
 from skeinsolve.ring import Exponent, SignedMonomial
+from skeinsolve.skein import P01_OP, P10_OP, P11_OP, UNKNOT_OP
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +109,34 @@ def test_prime_form_is_scaled_invariant(n):
             monomial(1, g=p.size)) * colored_unknot_invariant(p)
 
 
+def _det(rows):
+    # expansion along the first row: ring operations only, since a quotient
+    # by an entry with a in its numerator is not a RationalFunction
+    if not rows:
+        return RationalFunction(1)
+    total = RationalFunction(0)
+    for j, entry in enumerate(rows[0]):
+        if not entry.is_zero:
+            term = entry * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _one_row_invariant(k):
+    if k < 0:
+        return RationalFunction(0)
+    return colored_unknot_invariant(Partition((k,)) if k else EMPTY)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_invariant_satisfies_jacobi_trudi(n):
+    # W_lambda = det(W_(lambda_i - i + j)), from one-row values alone
+    for p in enumerate_partitions(n):
+        matrix = [[_one_row_invariant(p.parts[i] - i + j) for j in range(p.length)]
+                  for i in range(p.length)]
+        assert _det(matrix) == colored_unknot_invariant(p), p
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_branching_linkage_for_c3_form(n):
     # c_mu * cf(mu) * z / g = sum of cf(lambda) over one-box removals
@@ -143,24 +174,23 @@ def test_annihilation_detects_perturbation():
 
 @pytest.mark.parametrize("tag", ("c3", "unknot", "unknot-prime"))
 def test_uniqueness_via_generic_reconstruction(tag):
-    geom = geometry(tag)
-    assert solve_from_annihilation(geom.operator, 4) == solve_recursion(tag, 4)
+    # Read through the operator alone, its diagonal part O - P10 is nonzero
+    # on every nonempty partition, so A psi = 0 fixes each coefficient from
+    # the degree below it and the normalized solution is unique.
+    op = geometry(tag).operator
+    for p in partitions_through(4)[1:]:
+        assert not op.apply(SkeinVector.basis(p)).coefficient(p).is_zero, p
 
 
 def test_scaling_invariance():
-    geom = geometry("c3")
-    scaled = geom.operator.scale(-monomial(1, aL=2, g=1))
-    assert solve_from_annihilation(scaled, 4) == solve_recursion("c3", 4)
+    scaled = geometry("c3").operator.scale(-monomial(1, aL=2, g=1))
+    assert scaled.apply(solve_recursion("c3", 4)).is_zero
 
 
 def test_unknot_scalar_insensitivity():
     # replacing the unknot evaluation by any other scalar changes nothing
-    geom = geometry("unknot")
     other = RationalFunction(monomial(5, s=3) - monomial(2, s=-1), 1 + Q)
-    assert solve_from_annihilation(geom.operator, 4, other) == solve_recursion(
-        "unknot", 4)
-    psi = solve_recursion("unknot", 4)
-    assert verify_annihilation(geom, psi, other)
+    assert verify_annihilation("unknot", solve_recursion("unknot", 4), other)
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +248,22 @@ def test_no_solution_without_box_term():
         solve_monomial_coefficients(template)
 
 
+def _assembled(solution) -> OperatorExpression:
+    return UNKNOT_OP + OperatorExpression(
+        [(sm.to_polynomial(), (gen,)) for gen, sm in solution.items()])
+
+
 def test_solved_operators_annihilate_their_geometries():
     # assembled operators from the solved coefficients match the presets
     [sol] = solve_monomial_coefficients(c3_template())
     geom = geometry("c3")
-    psi = solve_recursion(geom, 3)
-    from skeinsolve import OperatorExpression
-    from skeinsolve.skein import UNKNOT_OP
-
-    op = UNKNOT_OP + OperatorExpression(
-        [(sm.to_polynomial(), (gen,)) for gen, sm in sol.items()])
-    assert op.apply(psi).is_zero
+    op = _assembled(sol)
+    assert op.apply(solve_recursion(geom, 3)).is_zero
     assert op == geom.operator
+    unknot_ops = {_assembled(sol)
+                  for sol in solve_monomial_coefficients(unknot_template())}
+    assert unknot_ops == {geometry("unknot").operator,
+                          geometry("unknot-prime").operator}
 
 
 def test_unknown_cannot_be_unknot():
@@ -244,8 +278,6 @@ def test_unknown_cannot_be_unknot():
 
 
 def test_geometry_operators_match_displays():
-    from skeinsolve.skein import P01_OP, P10_OP, P11_OP, UNKNOT_OP
-
     assert geometry("c3").operator == (
         UNKNOT_OP - P10_OP + P01_OP.scale(AL * G))
     assert geometry("unknot").operator == (
@@ -257,9 +289,25 @@ def test_geometry_operators_match_displays():
 
 
 def test_geometry_accepts_enum_and_string():
-    from skeinsolve import GeometryTag
-
     assert geometry(GeometryTag.C3).tag is GeometryTag.C3
     assert geometry("unknot-prime").tag is GeometryTag.UNKNOT_PRIME
     with pytest.raises(ValueError):
         geometry("torus")
+
+
+@pytest.mark.parametrize("operator", (
+    UNKNOT_OP - P10_OP + P01_OP @ P01_OP,
+    UNKNOT_OP.scale(2) - P10_OP + P01_OP,
+    UNKNOT_OP + P01_OP.scale(AL * G),
+), ids=("composed-word", "unknot-coefficient", "no-p10"))
+def test_geometry_rejects_operator_of_wrong_shape(operator):
+    with pytest.raises(ValueError):
+        Geometry(GeometryTag.C3, operator)
+
+
+def test_recursion_solves_any_operator_of_the_shape():
+    # not a preset: x = 3a, y = -g^2
+    op = UNKNOT_OP - P10_OP + P01_OP.scale(monomial(3, a=1)) - P11_OP.scale(G ** 2)
+    psi = solve_recursion(Geometry(GeometryTag.C3, op), 4)
+    assert not psi.coefficient(Partition((2, 1))).is_zero
+    assert op.apply(psi).is_zero
