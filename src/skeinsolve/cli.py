@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure or no solution, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -252,7 +253,17 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (e.g. `| head`): not a failure.  Point
+        # stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    return code
 
 
 def entry_point() -> None:

@@ -543,6 +543,9 @@ class RationalFunction:
     leading coefficient) and the fraction is reduced: numerator and
     denominator are divided by the gcd of the denominator with all univariate
     s-slices of the numerator, and by the gcd of their integer contents.
+    Arithmetic keeps this form: sums work over the lcm of the denominators,
+    and products cancel each numerator against the other operand's
+    denominator before multiplying.
     Equality is by cross-multiplication, so partial reduction is never a
     correctness risk.
     """
@@ -565,9 +568,7 @@ class RationalFunction:
             self._den = ONE
             return
         num, den = _extract_denominator_unit(num, den)
-        num, den = _reduce_fraction(num, den)
-        self._num = num
-        self._den = den
+        self._num, self._den = _remove_content(*_cancel_common(num, den))
 
     @property
     def numerator(self) -> LaurentPolynomial:
@@ -598,18 +599,18 @@ class RationalFunction:
             return other
         if other.is_zero:
             return self
-        return RationalFunction(
-            self._num * other._den + other._num * self._den,
-            self._den * other._den,
-        )
+        b, d = self._den, other._den
+        if b == d:
+            return RationalFunction(self._num + other._num, b)
+        # over the lcm b * (d/g); both quotients are exact in Z[s]
+        g = gcd_s(b, d)
+        d_g = exact_div_s(d, g)
+        return RationalFunction(self._num * d_g + other._num * exact_div_s(b, g), b * d_g)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        out = RationalFunction.__new__(RationalFunction)
-        out._num = -self._num
-        out._den = self._den
-        return out
+        return _new_rf(-self._num, self._den)
 
     def __sub__(self, other: RationalLike) -> "RationalFunction":
         other = _coerce_rf(other)
@@ -624,7 +625,13 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self._num * other._num, self._den * other._den)
+        if self.is_zero or other.is_zero:
+            return _new_rf(ZERO, ONE)
+        # cancel a with d and c with b before multiplying; the product of two
+        # normalized denominators is normalized, so only content is left
+        a, d = _cancel_common(self._num, other._den)
+        c, b = _cancel_common(other._num, self._den)
+        return _new_rf(*_remove_content(a * c, b * d))
 
     __rmul__ = __mul__
 
@@ -632,7 +639,12 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self._num * other._den, self._den * other._num)
+        if other.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        if self.is_zero:
+            return self
+        # the reciprocal of a reduced fraction is reduced once normalized
+        return self * _new_rf(*_extract_denominator_unit(other._den, other._num))
 
     def __rtruediv__(self, other: RationalLike) -> "RationalFunction":
         return _coerce_rf(other) / self
@@ -693,12 +705,16 @@ def _coerce_rf(x: RationalLike) -> RationalFunction:
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, (LaurentPolynomial, SignedMonomial, int)):
-        out = RationalFunction.__new__(RationalFunction)
-        p = LaurentPolynomial._coerce(x)
-        out._num = p
-        out._den = ONE
-        return out
+        return _new_rf(LaurentPolynomial._coerce(x), ONE)
     return NotImplemented
+
+
+def _new_rf(num: LaurentPolynomial, den: LaurentPolynomial) -> RationalFunction:
+    """Wrap a numerator and denominator already in canonical form."""
+    out = RationalFunction.__new__(RationalFunction)
+    out._num = num
+    out._den = den
+    return out
 
 
 def _extract_denominator_unit(num: LaurentPolynomial,
@@ -726,27 +742,44 @@ def _extract_denominator_unit(num: LaurentPolynomial,
     return num, den
 
 
-def _reduce_fraction(num: LaurentPolynomial,
-                     den: LaurentPolynomial) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """Divide out the common s-univariate factor and integer content."""
-    if not den.is_one:
-        _, den_coeffs = _as_int_poly(den)
-        slice_gcd: list[int] | None = None
-        for slice_terms in num.s_slices().values():
-            lo = min(slice_terms)
-            hi = max(slice_terms)
-            coeffs = [0] * (hi - lo + 1)
-            for k, c in slice_terms.items():
-                coeffs[k - lo] = c
-            slice_gcd = coeffs if slice_gcd is None else _list_gcd(slice_gcd, coeffs)
-            if len(_list_trim(slice_gcd)) == 1:
-                slice_gcd = [1]
-                break
-        common = _list_gcd(den_coeffs, slice_gcd or [])
-        if len(common) > 1:
-            d = _from_int_poly(common)
-            num = exact_div_s(num, d)
-            den = exact_div_s(den, d)
+def _common_factor(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial | None:
+    """The primitive gcd of a normalized den with every s-slice of num.
+
+    None when that gcd is a constant.  The slices are taken first: they are
+    short and their gcd is usually a constant after two or three of them,
+    which spares a gcd with a long denominator.
+    """
+    _, den_coeffs = _as_int_poly(den)
+    if len(den_coeffs) == 1:
+        return None
+    common: list[int] | None = None
+    for slice_terms in num.s_slices().values():
+        lo = min(slice_terms)
+        hi = max(slice_terms)
+        coeffs = [0] * (hi - lo + 1)
+        for k, c in slice_terms.items():
+            coeffs[k - lo] = c
+        common = coeffs if common is None else _list_gcd(common, coeffs)
+        if len(common) == 1:
+            return None
+    common = _list_gcd(den_coeffs, common)
+    if len(common) == 1:
+        return None
+    return _from_int_poly(common)
+
+
+def _cancel_common(num: LaurentPolynomial,
+                   den: LaurentPolynomial) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """Divide num and a normalized den by their common s-univariate factor."""
+    common = _common_factor(num, den)
+    if common is None:
+        return num, den
+    return exact_div_s(num, common), exact_div_s(den, common)
+
+
+def _remove_content(num: LaurentPolynomial,
+                    den: LaurentPolynomial) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """Divide num and den by the gcd of their integer contents."""
     c = _int_gcd(num.content(), den.content())
     if c > 1:
         num = LaurentPolynomial({e: v // c for e, v in num._terms.items()})

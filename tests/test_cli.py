@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skeinsolve
 from skeinsolve import solve_recursion
 from skeinsolve.cli import main
 from skeinsolve.serialize import loads_records, skein_vector_from_records
@@ -244,3 +250,45 @@ def test_records_mode_is_valid_json_lines(capsys):
     _, out, _ = run_cli(capsys, "hook-poly", "6,4,2", "--format", "records")
     for line in out.splitlines():
         json.loads(line)
+
+
+# sha256 of `psi --geometry G --max-degree 8 --no-cache --format records`
+# as produced when sums still multiplied whole denominators; a faster ring
+# or solver must keep these bytes.
+GOLDEN_PSI_RECORDS_SHA256 = {
+    "c3": "52729a9c2c9ebfdd64a4f846af39568f36d951ae5ef3073e40872c1edc2a2a69",
+    "unknot": "bcd3dc486681499b61e3ee3ca0b543ac67af5dc47559af7d001107b03a4bce08",
+    "unknot-prime": "e5b71965995a0748deabe561c76d73ae33baf52f7f75dc3bc56ff6caf00bf9ab",
+}
+
+
+@pytest.mark.parametrize("geom", sorted(GOLDEN_PSI_RECORDS_SHA256))
+def test_psi_records_golden_bytes(capsys, geom):
+    code, out, err = run_cli(capsys, "psi", "--geometry", geom, "--max-degree", "8",
+                             "--no-cache", "--format", "records")
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_PSI_RECORDS_SHA256[geom]
+
+
+# ---------------------------------------------------------------------------
+# a reader that stops early
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["partitions", "30"],
+    ["psi", "--geometry", "c3", "--max-degree", "8", "--no-cache"],
+], ids=["partitions", "psi"])
+def test_closed_stdout_pipe_exits_quietly(argv):
+    src = str(Path(skeinsolve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "skeinsolve.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # closed before the child has started, so its first write meets a
+    # broken pipe whatever the size of its output
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""

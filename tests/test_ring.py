@@ -22,7 +22,7 @@ from skeinsolve import (
 )
 from skeinsolve.ring import Exponent, SignedMonomial, exact_div_s, monomial_ratio
 
-from strategies import laurent_polynomials, rational_functions
+from strategies import exponents, laurent_polynomials, rational_functions
 
 Z = S - S ** -1
 
@@ -216,6 +216,69 @@ def test_rf_residual_integer_denominator():
     x = RationalFunction(G, 2)
     assert x.denominator == 2 * ONE
     assert x + x == RationalFunction(G)
+
+
+def _term_maps(x):
+    return x.numerator.terms, x.denominator.terms
+
+
+def _assert_constructor_form(got, num, den):
+    """got has exactly the term maps of RationalFunction(num, den)."""
+    assert _term_maps(got) == _term_maps(RationalFunction(num, den))
+
+
+@given(rational_functions(), rational_functions())
+def test_rf_add_mul_give_the_constructor_form(x, y):
+    # the full cross-multiplied fraction through the reducing constructor
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    _assert_constructor_form(x + y, a * d + c * b, b * d)
+    _assert_constructor_form(x - y, a * d - c * b, b * d)
+    _assert_constructor_form(x * y, a * c, b * d)
+
+
+@given(rational_functions(), rational_functions())
+def test_rf_div_gives_the_constructor_form_or_the_same_error(x, y):
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    if y.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    try:
+        want = RationalFunction(a * d, b * c)
+    except DenominatorNotSUnivariateError:
+        with pytest.raises(DenominatorNotSUnivariateError):
+            x / y
+    else:
+        assert _term_maps(x / y) == _term_maps(want)
+
+
+@given(rational_functions(),
+       laurent_polynomials(max_terms=3, s_only=True, nonzero=True),
+       laurent_polynomials(max_terms=3, s_only=True, nonzero=True),
+       exponents())
+def test_rf_div_by_unit_times_s_fraction_gives_the_constructor_form(x, p, r, unit):
+    # a divisor whose numerator is s-univariate up to a unit, so the
+    # quotient always exists
+    y = RationalFunction(p * monomial(-1, *unit), r)
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    _assert_constructor_form(x / y, a * d, b * c)
+
+
+def test_rf_cancellation_across_operands():
+    # (s^2 - 1)/1 * 1/(s^4 - 1) = 1/(s^2 + 1): the factor sits in different
+    # operands and cancels only across the product
+    got = RationalFunction(S ** 2 - 1) * RationalFunction(1, S ** 4 - 1)
+    assert _term_maps(got) == ({Exponent(): 1}, {Exponent(): 1, Exponent(s=2): 1})
+    # s-factors and integer content cancel both ways
+    x = RationalFunction(2 * (S - 1), 3 * (S + 1))
+    y = RationalFunction(9 * (S + 1), 4 * (S - 1))
+    assert _term_maps(x * y) == ({Exponent(): 3}, {Exponent(): 2})
+    assert _term_maps(x / (1 / y)) == ({Exponent(): 3}, {Exponent(): 2})
+    # a sum over the lcm whose numerator cancels the shared factor s - 1
+    u = RationalFunction(2, (S - 1) * (S + 1))
+    v = RationalFunction(-3, (S - 1) * (S + 2))
+    assert _term_maps(u + v) == _term_maps(RationalFunction(-1, (S + 1) * (S + 2)))
+    assert (u + v).denominator == (S + 1) * (S + 2)
 
 
 # ---------------------------------------------------------------------------
