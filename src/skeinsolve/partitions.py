@@ -280,8 +280,8 @@ def verify_branching(mu: Partition) -> bool:
         c_mu(q) / h_mu(q) == sum over lambda with lambda + box = mu
                              of 1 / h_lambda(q)
 
-    Verified in cross-multiplied polynomial form, which is what rational-
-    function equality means and avoids any gcd work at large sizes.
+    Verified in cross-multiplied polynomial form, which avoids any gcd work
+    at large sizes.
     """
     if mu.is_empty:
         raise EmptyPartitionError("branching rule needs at least one box")
@@ -290,8 +290,9 @@ def verify_branching(mu: Partition) -> bool:
     prefix = [ONE] * (n + 1)
     for i, h in enumerate(lam_hooks):
         prefix[i + 1] = prefix[i] * h
+    # suffix[k] = lam_hooks[k] * ... * lam_hooks[n-1]; suffix[0] is never read
     suffix = [ONE] * (n + 1)
-    for i in range(n - 1, -1, -1):
+    for i in range(n - 1, 0, -1):
         suffix[i] = lam_hooks[i] * suffix[i + 1]
     lhs = content_polynomial(mu) * prefix[n]
     cofactor_sum = LaurentPolynomial()

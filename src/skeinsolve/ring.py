@@ -232,17 +232,18 @@ class LaurentPolynomial:
         shorter, longer = self._terms, other._terms
         if len(shorter) > len(longer):
             shorter, longer = longer, shorter
-        out: dict[Exponent, int] = {}
-        for e1, c1 in shorter.items():
-            for e2, c2 in longer.items():
-                e = _exp_add(e1, e2)
-                new = out.get(e, 0) + c1 * c2
-                if new:
-                    out[e] = new
-                elif e in out:
-                    del out[e]
+        # sum on plain exponent tuples; each surviving key becomes an
+        # Exponent once, not once per term product
+        acc: dict[tuple[int, int, int, int], int] = {}
+        get = acc.get
+        rows = [(s, a, aL, g, c) for (s, a, aL, g), c in longer.items()]
+        for (s1, a1, aL1, g1), c1 in shorter.items():
+            for s2, a2, aL2, g2, c2 in rows:
+                key = (s1 + s2, a1 + a2, aL1 + aL2, g1 + g2)
+                acc[key] = get(key, 0) + c1 * c2
+        make = tuple.__new__
         result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = out
+        result._terms = {make(Exponent, key): c for key, c in acc.items() if c}
         return result
 
     __rmul__ = __mul__
@@ -546,8 +547,12 @@ class RationalFunction:
     Arithmetic keeps this form: sums work over the lcm of the denominators,
     and products cancel each numerator against the other operand's
     denominator before multiplying.
-    Equality is by cross-multiplication, so partial reduction is never a
-    correctness risk.
+    Equality compares the term maps of numerator and denominator.  That is
+    sound because the reduced form is unique: two reduced fractions of the
+    same value have denominators that divide each other in Q[s], so they
+    differ by a rational constant, which the content reduction and the
+    positive leading coefficient force to be 1.  ``__hash__`` relies on
+    the same fact.
     """
 
     __slots__ = ("_num", "_den")
@@ -666,7 +671,7 @@ class RationalFunction:
             other = _coerce_rf(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self._num * other._den == other._num * self._den
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
         return hash((self._num, self._den))

@@ -91,9 +91,12 @@ def _run_recursion(report: SuiteReport, n: int) -> None:
         psi = solve_recursion(tag, n)
         for p in partitions_through(n):
             expected = closed_form(tag, p)
+            solved = psi.coefficient(p)
             report.record(
-                psi.coefficient(p) == expected,
-                lambda tag=tag, p=p: f"geometry={tag.value} partition=({p})",
+                solved == expected,
+                lambda tag=tag, p=p, expected=expected, solved=solved: (
+                    f"geometry={tag.value} partition=({p}) expected={expected} "
+                    f"solved={solved} difference={solved - expected}"),
             )
 
 

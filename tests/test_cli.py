@@ -206,6 +206,31 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "partition=(2,1)" in out
 
 
+def test_verify_recursion_failure_reports_both_values(capsys, monkeypatch):
+    import skeinsolve.verify as verify_mod
+    from skeinsolve import Partition, RationalFunction
+
+    wrong = Partition([2, 1])
+    closed_form = verify_mod.closed_form
+
+    def perturbed(tag, p):
+        value = closed_form(tag, p)
+        return value + RationalFunction(1, 3) if p == wrong else value
+
+    monkeypatch.setattr(verify_mod, "closed_form", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "recursion",
+                           "--max-degree", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].endswith("failures=3 FAIL")
+    solved = solve_recursion("c3", 3).coefficient(wrong)
+    expected = closed_form("c3", wrong) + RationalFunction(1, 3)
+    assert lines[1] == (
+        f"first counterexample: geometry=c3 partition=(2,1) expected={expected} "
+        f"solved={solved} difference=-1/(3)")
+    assert len(lines) == 2
+
+
 # ---------------------------------------------------------------------------
 # usage errors and determinism
 # ---------------------------------------------------------------------------

@@ -70,6 +70,34 @@ def test_mul_commutes(f, g):
     assert f * g == g * f
 
 
+def _product_by_single_terms(f, g):
+    # a sum of one-term products, each built without __mul__
+    total = ZERO
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            total = total + monomial(c1 * c2, *(x + y for x, y in zip(e1, e2)))
+    return total
+
+
+def _assert_product_terms(f, g):
+    got = (f * g).terms
+    # tuple and Exponent keys compare equal, so check the key type itself
+    assert all(type(key) is Exponent for key in got)
+    assert 0 not in got.values()
+    assert got == _product_by_single_terms(f, g).terms
+
+
+@given(laurent_polynomials(), laurent_polynomials())
+def test_mul_term_map_matches_single_term_products(f, g):
+    _assert_product_terms(f, g)
+
+
+def test_mul_cross_terms_cancel():
+    # (s + a)(s - a) = s^2 - a^2: both cross terms cancel to zero
+    _assert_product_terms(S + A, S - A)
+    assert ((S + A) * (S - A)).terms == {Exponent(s=2): 1, Exponent(a=2): -1}
+
+
 def test_negative_power_of_monomial_only():
     assert (A * S) ** -2 == monomial(1, s=-2, a=-2)
     with pytest.raises(ValueError):
@@ -176,6 +204,31 @@ def test_rf_equal_cross_multiplied():
     assert lhs == rhs
 
 
+@given(rational_functions(), rational_functions())
+def test_rf_equal_iff_difference_is_zero(x, y):
+    assert (x == y) == (x - y).is_zero
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(rational_functions())
+def test_rf_equal_to_itself_written_another_way(x):
+    y = RationalFunction(x.numerator * (1 + Q) * 3, x.denominator * (3 + 3 * Q))
+    assert x == y and hash(x) == hash(y)
+
+
+def test_rf_equal_by_reduced_terms():
+    # one value written over two different denominators normalizes to one form
+    x = RationalFunction(2 * A * (S - 1), 6 * (S ** 2 - 1))
+    y = RationalFunction(-A * S ** -3, 3 * S ** -3 * (-1 - S))
+    assert _term_maps(x) == _term_maps(y) == (
+        {Exponent(a=1): 1}, {Exponent(): 3, Exponent(s=1): 3})
+    assert x == y and hash(x) == hash(y)
+    assert x != RationalFunction(A, 3 + 2 * S)
+    assert RationalFunction(A * S, 1) == A * S
+    assert RationalFunction(2) == 2
+
+
 @given(rational_functions(), rational_functions(), rational_functions())
 def test_rf_equal_is_congruence(x, y, z):
     assert x == x
@@ -212,7 +265,7 @@ def test_rf_denominator_invariants():
 
 def test_rf_residual_integer_denominator():
     # an integer factor the numerator cannot absorb stays in the denominator;
-    # cross-multiplied equality is unaffected
+    # equality is unaffected
     x = RationalFunction(G, 2)
     assert x.denominator == 2 * ONE
     assert x + x == RationalFunction(G)
