@@ -1,10 +1,12 @@
-"""On-disk cache of solved skein vectors, keyed by geometry, degree and
-schema version.
+"""On-disk cache of solved skein vectors, keyed by geometry, degree, schema
+version and package version.
 
-The cache stores the exact serialized bytes, so a hit is byte-identical to a
-fresh computation; the CLI's --no-cache flag provides the cross-check path.
-The directory comes from SKEINSOLVE_CACHE_DIR, falling back to the user
-cache root.
+An entry is one cache-only line holding the sha256 of the served bytes,
+followed by those exact bytes, so a hit is byte-identical to a fresh
+computation; the CLI's --no-cache flag provides the cross-check path.  The
+package version in the key keeps a newer solver from serving an older one's
+bytes.  The directory comes from SKEINSOLVE_CACHE_DIR, falling back to the
+user cache root.
 """
 
 from __future__ import annotations
@@ -14,6 +16,14 @@ import os
 import tempfile
 from pathlib import Path
 
+try:
+    # CPython's own sha256: hashlib would load OpenSSL first, which costs
+    # every psi command about 6 ms and 3.6 MB of resident memory
+    from _sha256 import sha256
+except ImportError:  # other interpreters, and CPython 3.12 on
+    from hashlib import sha256
+
+from . import __version__
 from .partitions import partitions_through
 from .serialize import SCHEMA_VERSION
 
@@ -36,15 +46,20 @@ class ResultCache:
         self.root = Path(root) if root is not None else default_cache_dir()
 
     def path_for(self, geometry: str, max_degree: int) -> Path:
-        name = f"psi-{geometry}-N{max_degree}-schema{SCHEMA_VERSION}.jsonl"
+        name = (f"psi-{geometry}-N{max_degree}-schema{SCHEMA_VERSION}"
+                f"-v{__version__}.jsonl")
         return self.root / name
 
     def load(self, geometry: str, max_degree: int) -> str | None:
         """The stored text, or None (a miss) when the entry is missing,
-        unreadable or not a complete record stream for this key."""
+        unreadable, fails its checksum or is not a complete record stream
+        for this key."""
         path = self.path_for(geometry, max_degree)
         try:
-            text = path.read_text(encoding="utf-8")
+            head, _, body = path.read_bytes().partition(b"\n")
+            if head != _checksum_line(body):
+                return None
+            text = body.decode("utf-8")
         except (OSError, UnicodeDecodeError):
             return None
         return text if _is_complete(text, geometry, max_degree) else None
@@ -52,10 +67,11 @@ class ResultCache:
     def store(self, geometry: str, max_degree: int, text: str) -> Path:
         path = self.path_for(geometry, max_degree)
         path.parent.mkdir(parents=True, exist_ok=True)
+        body = text.encode("utf-8")
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(_checksum_line(body) + b"\n" + body)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -64,6 +80,10 @@ class ResultCache:
                 pass
             raise
         return path
+
+
+def _checksum_line(body: bytes) -> bytes:
+    return b"sha256 " + sha256(body).hexdigest().encode("ascii")
 
 
 def _is_complete(text: str, geometry: str, max_degree: int) -> bool:

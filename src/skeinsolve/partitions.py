@@ -309,3 +309,9 @@ def branching_sum(mu: Partition) -> RationalFunction:
     for lam, _ in removable_cells(mu):
         total = total + RationalFunction(1, hook_polynomial(lam))
     return total
+
+
+def branching_difference(mu: Partition) -> RationalFunction:
+    """c_mu(q) / h_mu(q) minus the branching sum: zero iff the rule holds."""
+    return (RationalFunction(content_polynomial(mu), hook_polynomial(mu))
+            - branching_sum(mu))

@@ -173,13 +173,6 @@ class LaurentPolynomial:
         exps = [e.s for e in self._terms]
         return (min(exps), max(exps))
 
-    def s_slices(self) -> dict[tuple[int, int, int], dict[int, int]]:
-        """Group terms by their (a, aL, g) exponents into univariate s-slices."""
-        out: dict[tuple[int, int, int], dict[int, int]] = {}
-        for e, c in self._terms.items():
-            out.setdefault((e.a, e.aL, e.g), {})[e.s] = c
-        return out
-
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod
@@ -383,19 +376,55 @@ def _as_int_poly(f: LaurentPolynomial) -> tuple[int, list[int]]:
     Returns (shift, coeffs) with coeffs ascending, coeffs[0] != 0, such that
     f = s^shift * sum coeffs[i] s^i.  f must be nonzero and involve only s.
     """
-    if not f.is_s_univariate():
-        raise ValueError("polynomial involves a, aL or g")
-    if f.is_zero:
+    terms = f._terms
+    if not terms:
         raise ValueError("zero polynomial")
-    lo, hi = f.s_range()
-    coeffs = [0] * (hi - lo + 1)
-    for e, c in f._terms.items():
-        coeffs[e.s - lo] = c
+    # exponents order by s first, so the least and greatest keys bound s
+    lo = min(terms)[0]
+    coeffs = [0] * (max(terms)[0] - lo + 1)
+    for (s, a, aL, g), c in terms.items():
+        if a or aL or g:
+            raise ValueError("polynomial involves a, aL or g")
+        coeffs[s - lo] = c
     return lo, coeffs
 
 
-def _from_int_poly(coeffs: list[int], shift: int = 0) -> LaurentPolynomial:
-    return LaurentPolynomial({Exponent(s=i + shift): c for i, c in enumerate(coeffs) if c})
+def _from_slices(slices: list[tuple[tuple[int, int, int], int, list[int]]]) -> LaurentPolynomial:
+    """The polynomial whose (a, aL, g)-slice is s^lo * sum coeffs[i] s^i."""
+    make = tuple.__new__
+    out: dict[Exponent, int] = {}
+    for (a, aL, g), lo, coeffs in slices:
+        for i, c in enumerate(coeffs):
+            if c:
+                out[make(Exponent, (lo + i, a, aL, g))] = c
+    result = LaurentPolynomial.__new__(LaurentPolynomial)
+    result._terms = out
+    return result
+
+
+def _from_int_poly(coeffs: list[int]) -> LaurentPolynomial:
+    return _from_slices([((0, 0, 0), 0, coeffs)])
+
+
+def _s_slices(f: LaurentPolynomial) -> dict[tuple[int, int, int], dict[int, int]]:
+    """Group the terms of f by their (a, aL, g) exponents into s-slices."""
+    out: dict[tuple[int, int, int], dict[int, int]] = {}
+    for (s, a, aL, g), c in f._terms.items():
+        piece = out.get((a, aL, g))
+        if piece is None:
+            out[(a, aL, g)] = {s: c}
+        else:
+            piece[s] = c
+    return out
+
+
+def _dense(piece: dict[int, int]) -> tuple[int, list[int]]:
+    """(lo, coeffs) with the slice equal to s^lo * sum coeffs[i] s^i."""
+    lo = min(piece)
+    coeffs = [0] * (max(piece) - lo + 1)
+    for k, c in piece.items():
+        coeffs[k - lo] = c
+    return lo, coeffs
 
 
 def _list_content(f: list[int]) -> int:
@@ -422,22 +451,39 @@ def _list_trim(f: list[int]) -> list[int]:
 
 
 def _list_prem(f: list[int], g: list[int]) -> list[int]:
-    """Pseudo-remainder of f by g over Z (both ascending, g nonzero)."""
-    f = list(f)
+    """A pseudo-remainder of f by g over Z: c * f mod g for a nonzero integer
+    c (both ascending, g without trailing zeros).
+
+    Each step cancels the leading term of the remainder.  It subtracts
+    (lead // lc(g)) * g * s^k when lc(g) divides the lead, and scales the
+    remainder by lc(g) first only when it does not (Knuth, TAOCP 4.6.1).
+    One copy of f is reduced in place below a moving end index.
+    """
+    r = list(f)
     dg = len(g) - 1
     lg = g[-1]
-    while len(f) - 1 >= dg and f:
-        df = len(f) - 1
-        lead = f[-1]
-        f = [lg * c for c in f]
-        for i, gc in enumerate(g):
-            f[df - dg + i] -= lead * gc
-        f = _list_trim(f)
-    return f
+    lower = [(i, gc) for i, gc in enumerate(g[:dg]) if gc]
+    n = len(r)
+    while n and r[n - 1] == 0:
+        n -= 1
+    while n > dg:
+        n -= 1
+        q, rem = divmod(r[n], lg)
+        if rem:
+            q = r[n]
+            r[:n] = [lg * c for c in r[:n]]
+        k = n - dg
+        for i, gc in lower:
+            r[k + i] -= q * gc
+        while n and r[n - 1] == 0:
+            n -= 1
+    del r[n:]
+    return r
 
 
 def _list_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Primitive gcd in Z[s] via the primitive pseudo-remainder sequence."""
+    """Primitive gcd in Z[s] via the primitive pseudo-remainder sequence
+    (Brown, J. ACM 18, 1971)."""
     f = _list_primitive(_list_trim(f))
     g = _list_primitive(_list_trim(g))
     if len(f) < len(g):
@@ -453,24 +499,26 @@ def _list_gcd(f: list[int], g: list[int]) -> list[int]:
 
 
 def _list_exact_div(f: list[int], d: list[int]) -> list[int]:
-    """Exact quotient f / d in Z[s]; raises if the division is not exact."""
-    f = list(f)
+    """Exact quotient f / d in Z[s]; raises if the division is not exact.
+
+    f is ascending and may end in zeros; d has no trailing zeros.  Each
+    step clears one coefficient of f from the top, so only the dd lowest
+    coefficients can be left over.
+    """
     dd = len(d) - 1
     ld = d[-1]
-    if len(f) - 1 < dd:
-        if not _list_trim(f):
-            return []
-        raise ArithmeticError("inexact polynomial division")
-    out = [0] * (len(f) - dd)
+    r = list(f)
+    lower = [(j, dc) for j, dc in enumerate(d[:dd]) if dc]
+    out = [0] * max(len(r) - dd, 0)
     for i in range(len(out) - 1, -1, -1):
-        c, rem = divmod(f[i + dd], ld)
+        c, rem = divmod(r[i + dd], ld)
         if rem:
             raise ArithmeticError("inexact polynomial division")
-        out[i] = c
         if c:
-            for j, dc in enumerate(d):
-                f[i + j] -= c * dc
-    if _list_trim(f):
+            out[i] = c
+            for j, dc in lower:
+                r[i + j] -= c * dc
+    if any(r[:dd]):
         raise ArithmeticError("inexact polynomial division")
     return out
 
@@ -506,26 +554,20 @@ def gcd_s(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
 
 
 def exact_div_s(f: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomial:
-    """Exact division of f by an s-univariate d, slice by slice."""
+    """Exact division of f by an s-univariate d, slice by slice.
+
+    d's power of s is a unit, so it only shifts the quotient.
+    """
     if d.is_one:
         return f
     if f.is_zero:
         return ZERO
-    _, dc = _as_int_poly(d)
-    out: dict[Exponent, int] = {}
-    for (ea, eaL, eg), slice_terms in f.s_slices().items():
-        lo = min(slice_terms)
-        hi = max(slice_terms)
-        coeffs = [0] * (hi - lo + 1)
-        for k, c in slice_terms.items():
-            coeffs[k - lo] = c
-        quot = _list_exact_div(coeffs, dc)
-        for i, c in enumerate(quot):
-            if c:
-                out[Exponent(lo + i, ea, eaL, eg)] = c
-    result = LaurentPolynomial.__new__(LaurentPolynomial)
-    result._terms = out
-    return result
+    shift, dc = _as_int_poly(d)
+    quotients = []
+    for key, piece in _s_slices(f).items():
+        lo, coeffs = _dense(piece)
+        quotients.append((key, lo - shift, _list_exact_div(coeffs, dc)))
+    return _from_slices(quotients)
 
 
 # ---------------------------------------------------------------------------
@@ -747,39 +789,33 @@ def _extract_denominator_unit(num: LaurentPolynomial,
     return num, den
 
 
-def _common_factor(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial | None:
-    """The primitive gcd of a normalized den with every s-slice of num.
+def _cancel_common(num: LaurentPolynomial,
+                   den: LaurentPolynomial) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """Divide num and a normalized den by their common s-univariate factor:
+    the primitive gcd of den with every s-slice of num.
 
-    None when that gcd is a constant.  The slices are taken first: they are
-    short and their gcd is usually a constant after two or three of them,
-    which spares a gcd with a long denominator.
+    The slices are taken first: they are short and their gcd is usually a
+    constant after two or three of them, which spares a gcd with a long
+    denominator.  Each slice is made dense only when the loop reaches it,
+    and a common factor divides those same lists.
     """
     _, den_coeffs = _as_int_poly(den)
     if len(den_coeffs) == 1:
-        return None
+        return num, den
+    slices = []
     common: list[int] | None = None
-    for slice_terms in num.s_slices().values():
-        lo = min(slice_terms)
-        hi = max(slice_terms)
-        coeffs = [0] * (hi - lo + 1)
-        for k, c in slice_terms.items():
-            coeffs[k - lo] = c
+    for key, piece in _s_slices(num).items():
+        lo, coeffs = _dense(piece)
+        slices.append((key, lo, coeffs))
         common = coeffs if common is None else _list_gcd(common, coeffs)
         if len(common) == 1:
-            return None
+            return num, den
     common = _list_gcd(den_coeffs, common)
     if len(common) == 1:
-        return None
-    return _from_int_poly(common)
-
-
-def _cancel_common(num: LaurentPolynomial,
-                   den: LaurentPolynomial) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """Divide num and a normalized den by their common s-univariate factor."""
-    common = _common_factor(num, den)
-    if common is None:
         return num, den
-    return exact_div_s(num, common), exact_div_s(den, common)
+    return (_from_slices([(key, lo, _list_exact_div(coeffs, common))
+                          for key, lo, coeffs in slices]),
+            _from_int_poly(_list_exact_div(den_coeffs, common)))
 
 
 def _remove_content(num: LaurentPolynomial,

@@ -197,12 +197,19 @@ def verify_annihilation(geom: Geometry | GeometryTag | str, psi: SkeinVector,
     return geom.operator.apply(psi, unknot_value).is_zero
 
 
-def swap_symmetry_holds(p: Partition) -> bool:
-    """True iff a -> a^{-1}, q^{1/2} -> -q^{1/2} carries the plain unknot
-    closed form of p onto the primed one, with no leftover sign."""
+def swap_symmetry_sides(p: Partition) -> tuple[RationalFunction, RationalFunction]:
+    """The plain unknot closed form of p under a -> a^{-1}, q^{1/2} -> -q^{1/2},
+    and the primed closed form of p."""
     plain = closed_form_unknot(p, UnknotBranch.PLAIN)
-    return plain.substitute({"a": A ** -1, "s": -S}) == closed_form_unknot(
-        p, UnknotBranch.PRIME)
+    return (plain.substitute({"a": A ** -1, "s": -S}),
+            closed_form_unknot(p, UnknotBranch.PRIME))
+
+
+def swap_symmetry_holds(p: Partition) -> bool:
+    """True iff the swap carries the plain unknot closed form of p onto the
+    primed one, with no leftover sign."""
+    swapped, primed = swap_symmetry_sides(p)
+    return swapped == primed
 
 
 def swap_symmetry_check(max_degree: int) -> bool:

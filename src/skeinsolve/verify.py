@@ -10,11 +10,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .partitions import (
+    Partition,
+    branching_difference,
     cells,
     enumerate_partitions,
     hook_polynomial,
     hook_polynomial_qpower_form,
     parity_sum,
+    partition_sort_key,
     partitions_through,
     verify_branching,
 )
@@ -30,8 +33,9 @@ from .skein import (
 from .solver import (
     GeometryTag,
     closed_form,
+    geometry,
     solve_recursion,
-    swap_symmetry_holds,
+    swap_symmetry_sides,
     verify_annihilation,
 )
 
@@ -103,40 +107,67 @@ def _run_recursion(report: SuiteReport, n: int) -> None:
 def _run_branching(report: SuiteReport, n: int) -> None:
     for k in range(1, n + 1):
         for mu in enumerate_partitions(k):
-            report.record(verify_branching(mu), lambda mu=mu: f"partition=({mu})")
+            report.record(
+                verify_branching(mu),
+                lambda mu=mu: (f"partition=({mu}) "
+                               f"difference={branching_difference(mu)}"),
+            )
+
+
+def _first_difference(x: SkeinVector, y: SkeinVector) -> Partition:
+    """The first partition, in output order, where x and y differ."""
+    support = set(x.partitions()) | set(y.partitions())
+    return next(q for q in sorted(support, key=partition_sort_key)
+                if x.coefficient(q) != y.coefficient(q))
 
 
 def _run_commutator(report: SuiteReport, n: int) -> None:
     bracket = OperatorExpression.commutator(P10_OP, P01_OP)
     scaled = P11_OP.scale(Z_BRACKET)
+
+    def describe(p: Partition, lhs: SkeinVector, rhs: SkeinVector) -> str:
+        q = _first_difference(lhs, rhs)
+        return (f"partition=({p}) at=({q}) scaled={lhs.coefficient(q)} "
+                f"commutator={rhs.coefficient(q)}")
+
     for k in range(n + 1):
         for p in enumerate_partitions(k):
             basis = SkeinVector.basis(p, max_degree=k + 1)
-            report.record(
-                scaled.apply(basis) == bracket.apply(basis),
-                lambda p=p: f"partition=({p})",
-            )
+            lhs, rhs = scaled.apply(basis), bracket.apply(basis)
+            report.record(lhs == rhs, lambda p=p, lhs=lhs, rhs=rhs: describe(p, lhs, rhs))
 
 
 def _run_symmetry(report: SuiteReport, n: int) -> None:
     for k in range(n + 1):
         for p in enumerate_partitions(k):
-            report.record(swap_symmetry_holds(p), lambda p=p: f"partition=({p})")
+            swapped, primed = swap_symmetry_sides(p)
+            report.record(
+                swapped == primed,
+                lambda p=p, swapped=swapped, primed=primed: (
+                    f"partition=({p}) swapped={swapped} primed={primed}"),
+            )
 
 
 def _run_annihilation(report: SuiteReport, n: int) -> None:
+    def describe(tag: GeometryTag, psi: SkeinVector) -> str:
+        q, coeff = geometry(tag).operator.apply(psi).items()[0]
+        return (f"geometry={tag.value} through degree {n} "
+                f"partition=({q}) coefficient={coeff}")
+
     for tag in GeometryTag:
         psi = solve_recursion(tag, n)
         report.record(
             verify_annihilation(tag, psi),
-            lambda tag=tag: f"geometry={tag.value} through degree {n}",
+            lambda tag=tag, psi=psi: describe(tag, psi),
         )
 
 
 def _run_parity(report: SuiteReport, n: int) -> None:
     for k in range(n + 1):
         for p in enumerate_partitions(k):
-            report.record(parity_sum(p) % 2 == 0, lambda p=p: f"partition=({p})")
+            total = parity_sum(p)
+            report.record(total % 2 == 0,
+                          lambda p=p, total=total: f"partition=({p}) sum={total}")
 
 
 def _run_hookforms(report: SuiteReport, n: int) -> None:
@@ -144,15 +175,19 @@ def _run_hookforms(report: SuiteReport, n: int) -> None:
     for k in range(n + 1):
         for p in enumerate_partitions(k):
             product_form = hook_polynomial(p)
+            qpower_form = hook_polynomial_qpower_form(p)
             report.record(
-                product_form == hook_polynomial_qpower_form(p),
-                lambda p=p: f"double formula, partition=({p})",
+                product_form == qpower_form,
+                lambda p=p, x=product_form, y=qpower_form: (
+                    f"double formula, partition=({p}) product={x} qpower={y}"),
             )
             total_content = sum(c.content for c in cells(p))
             balanced = product_form * monomial(1, s=-total_content)
+            mirrored = balanced.substitute({"s": s_inverse})
             report.record(
-                balanced == balanced.substitute({"s": s_inverse}),
-                lambda p=p: f"palindromicity, partition=({p})",
+                balanced == mirrored,
+                lambda p=p, x=balanced, y=mirrored: (
+                    f"palindromicity, partition=({p}) balanced={x} mirrored={y}"),
             )
 
 

@@ -135,7 +135,10 @@ def test_cache_round_trip_is_byte_identical(capsys, isolated_cache):
 
     files = list(isolated_cache.glob("psi-c3-N4-schema*.jsonl"))
     assert len(files) == 1
-    assert files[0].read_text(encoding="utf-8") == fresh
+    # the stored bytes follow one cache-only line with their sha256
+    body = fresh.encode("utf-8")
+    checksum = b"sha256 " + hashlib.sha256(body).hexdigest().encode("ascii")
+    assert files[0].read_bytes() == checksum + b"\n" + body
 
 
 def test_cache_text_mode_renders_from_records(capsys, isolated_cache):
@@ -157,6 +160,40 @@ def test_truncated_cache_entry_is_a_miss_and_rewritten(capsys, isolated_cache, f
     entry.write_bytes(stored[:200])
     assert run_cli(capsys, *args) == (0, fresh, "")
     assert entry.read_bytes() == stored
+
+
+@pytest.mark.parametrize("fmt", ("records", "text"))
+def test_damaged_cache_entry_is_a_miss_and_rewritten(capsys, isolated_cache, fmt):
+    # one coefficient digit changed in place: line count and header intact
+    args = ("psi", "--geometry", "c3", "--max-degree", "5", "--format", fmt)
+    code, fresh, _ = run_cli(capsys, *args, "--no-cache")
+    run_cli(capsys, *args)
+    [entry] = isolated_cache.glob("psi-c3-N5-schema*.jsonl")
+    stored = entry.read_bytes()
+    at = stored.rindex(b'"c":"1"')
+    damaged = stored[:at] + b'"c":"2"' + stored[at + 7:]
+    entry.write_bytes(damaged)
+    assert damaged.count(b"\n") == stored.count(b"\n")
+    assert run_cli(capsys, *args) == (0, fresh, "")
+    assert entry.read_bytes() == stored
+
+
+def test_entry_from_another_version_is_a_miss(capsys, isolated_cache, monkeypatch):
+    import skeinsolve.cache as cache_mod
+
+    args = ("psi", "--geometry", "c3", "--max-degree", "4", "--format", "records")
+    code, fresh, _ = run_cli(capsys, *args, "--no-cache")
+    # an older release stored other bytes, with a valid checksum, for this key
+    monkeypatch.setattr(cache_mod, "__version__", "0.0.1")
+    old = cache_mod.ResultCache(isolated_cache)
+    old_path = old.store("c3", 4, fresh.replace('"c":"1"', '"c":"2"', 1))
+    assert old.load("c3", 4) is not None
+    monkeypatch.undo()
+    monkeypatch.setenv("SKEINSOLVE_CACHE_DIR", str(isolated_cache))
+    assert run_cli(capsys, *args) == (0, fresh, "")
+    [entry] = set(isolated_cache.glob("psi-c3-N4-schema*.jsonl")) - {old_path}
+    assert f"-v{skeinsolve.__version__}." in entry.name
+    assert run_cli(capsys, *args) == (0, fresh, "")
 
 
 def test_unusable_cache_dir_warns_and_still_answers(capsys, tmp_path, monkeypatch):
@@ -229,6 +266,108 @@ def test_verify_recursion_failure_reports_both_values(capsys, monkeypatch):
         f"first counterexample: geometry=c3 partition=(2,1) expected={expected} "
         f"solved={solved} difference=-1/(3)")
     assert len(lines) == 2
+
+
+def _failing_report(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-degree", "3")
+    assert code == 1
+    head, line = out.splitlines()
+    assert head.endswith("FAIL")
+    return line
+
+
+def test_verify_branching_failure_reports_the_difference(capsys, monkeypatch):
+    import skeinsolve.partitions as partitions_mod
+    from skeinsolve import Partition, RationalFunction, hook_polynomial
+
+    wrong = Partition([2, 1])
+    content = partitions_mod.content_polynomial
+    monkeypatch.setattr(partitions_mod, "content_polynomial",
+                        lambda p: content(p) + 1 if p == wrong else content(p))
+    difference = RationalFunction(1, hook_polynomial(wrong))
+    assert _failing_report(capsys, "branching") == (
+        f"first counterexample: partition=(2,1) difference={difference}")
+
+
+def test_verify_commutator_failure_reports_both_coefficients(capsys, monkeypatch):
+    import skeinsolve.verify as verify_mod
+    from skeinsolve import (EMPTY, OperatorExpression, Partition, SkeinVector,
+                            Z_BRACKET)
+    from skeinsolve.skein import P01_OP, P10_OP, P11_OP
+
+    monkeypatch.setattr(verify_mod, "Z_BRACKET", 2 * Z_BRACKET)
+    basis = SkeinVector.basis(EMPTY, max_degree=1)
+    box = Partition([1])
+    scaled = P11_OP.scale(2 * Z_BRACKET).apply(basis).coefficient(box)
+    bracket = OperatorExpression.commutator(P10_OP, P01_OP).apply(basis).coefficient(box)
+    assert scaled != bracket
+    assert _failing_report(capsys, "commutator") == (
+        f"first counterexample: partition=() at=(1) scaled={scaled} "
+        f"commutator={bracket}")
+
+
+def test_verify_symmetry_failure_reports_both_forms(capsys, monkeypatch):
+    import skeinsolve.solver as solver_mod
+    from skeinsolve import Partition, RationalFunction
+    from skeinsolve.solver import UnknotBranch
+
+    wrong = Partition([2, 1])
+    closed = solver_mod.closed_form_unknot
+
+    def perturbed(p, branch=UnknotBranch.PLAIN):
+        value = closed(p, branch)
+        if p == wrong and branch is UnknotBranch.PRIME:
+            return value + RationalFunction(1, 3)
+        return value
+
+    monkeypatch.setattr(solver_mod, "closed_form_unknot", perturbed)
+    primed = closed(wrong, UnknotBranch.PRIME)
+    assert _failing_report(capsys, "symmetry") == (
+        f"first counterexample: partition=(2,1) swapped={primed} "
+        f"primed={primed + RationalFunction(1, 3)}")
+
+
+def test_verify_annihilation_failure_reports_a_coefficient(capsys, monkeypatch):
+    import skeinsolve.verify as verify_mod
+    from skeinsolve import Partition, SkeinVector, geometry
+
+    solve = verify_mod.solve_recursion
+
+    def perturbed(tag, n):
+        return solve(tag, n) + SkeinVector.basis(Partition([2]), max_degree=n)
+
+    monkeypatch.setattr(verify_mod, "solve_recursion", perturbed)
+    # O and P10 act diagonally, so the stray W_(2) leaves a residual at (2)
+    # and none in lower degree
+    residual = geometry("c3").operator.apply(perturbed("c3", 3))
+    assert residual.partitions()[0] == Partition([2])
+    assert _failing_report(capsys, "annihilation") == (
+        f"first counterexample: geometry=c3 through degree 3 partition=(2) "
+        f"coefficient={residual.coefficient(Partition([2]))}")
+
+
+def test_verify_parity_failure_reports_the_sum(capsys, monkeypatch):
+    import skeinsolve.verify as verify_mod
+    from skeinsolve import Partition, parity_sum
+
+    wrong = Partition([2, 1])
+    monkeypatch.setattr(verify_mod, "parity_sum",
+                        lambda p: parity_sum(p) + (p == wrong))
+    assert _failing_report(capsys, "parity") == (
+        f"first counterexample: partition=(2,1) sum={parity_sum(wrong) + 1}")
+
+
+def test_verify_hookforms_failure_reports_both_polynomials(capsys, monkeypatch):
+    import skeinsolve.verify as verify_mod
+    from skeinsolve import Partition, hook_polynomial
+
+    wrong = Partition([2, 1])
+    qpower = verify_mod.hook_polynomial_qpower_form
+    monkeypatch.setattr(verify_mod, "hook_polynomial_qpower_form",
+                        lambda p: qpower(p) + 1 if p == wrong else qpower(p))
+    assert _failing_report(capsys, "hookforms") == (
+        f"first counterexample: double formula, partition=(2,1) "
+        f"product={hook_polynomial(wrong)} qpower={qpower(wrong) + 1}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from skeinsolve import (
     A,
@@ -20,7 +22,14 @@ from skeinsolve import (
     q_int,
     quantum_bracket,
 )
-from skeinsolve.ring import Exponent, SignedMonomial, exact_div_s, monomial_ratio
+from skeinsolve.ring import (
+    Exponent,
+    SignedMonomial,
+    _list_exact_div,
+    _list_prem,
+    exact_div_s,
+    monomial_ratio,
+)
 
 from strategies import exponents, laurent_polynomials, rational_functions
 
@@ -151,6 +160,221 @@ def test_gcd_divides_both(f, g):
     if not f.is_zero:
         assert exact_div_s(f, d) * d == f
     assert exact_div_s(g, d) * d == g
+
+
+# ---------------------------------------------------------------------------
+# the Z[s] kernels: pseudo-remainder and exact division
+# ---------------------------------------------------------------------------
+
+
+def _q_remainder(f, g):
+    """f mod g over Q, on ascending lists, without trailing zeros."""
+    r = [Fraction(c) for c in f]
+    while r and r[-1] == 0:
+        r.pop()
+    while len(r) >= len(g):
+        q = r[-1] / g[-1]
+        k = len(r) - len(g)
+        for i, gc in enumerate(g):
+            r[k + i] -= q * gc
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _proportional(r, ref):
+    """Whether r = c * ref for a nonzero rational c."""
+    if len(r) != len(ref):
+        return False
+    return not r or all(x * ref[-1] == y * r[-1] for x, y in zip(r, ref))
+
+
+def test_prem_steps_by_the_quotient_when_the_lead_divides():
+    # 4s^2 + 2s + 1 by 2s + 1: both steps are exact, so nothing is scaled
+    assert _list_prem([1, 2, 4], [1, 2]) == [1]
+    # 2s^3 + 3s^2 + 1 by 2s + 1: two exact steps, then the lead -1 forces
+    # one scaled step, so the remainder is 2 * f(-1/2) = 3
+    assert _list_prem([1, 0, 3, 2], [1, 2]) == [3]
+    # 3s^2 + s + 1 by 2s + 1: two scaled steps, 4 * f(-1/2) = 5
+    assert _list_prem([1, 1, 3], [1, 2]) == [5]
+
+
+@pytest.mark.parametrize("g", [[1, 0, 2], [2, 1, 3], [-1, 4, -1], [5, 0, 0, -1],
+                               [-1, 0, 0, 0, 0, 0, 1]],
+                         ids=["lc2", "lc3", "lc-1", "sparse-lc-1", "s6-1"])
+@pytest.mark.parametrize("f", [[7, -3, 5, 2, 9, -4, 1], [1, 2, 3, 4, 5, 6, 7, 8],
+                               [0, 0, 0, 0, 0, 0, 6], [3, 1, 0, 0, 0]])
+def test_prem_is_a_multiple_of_the_rational_remainder(f, g):
+    assert _proportional(_list_prem(f, g), _q_remainder(f, g))
+
+
+@pytest.mark.parametrize("h", [2 * Q + S + 1, 3 * S ** 3 - 2, 1 - Q, S ** 6 - 1],
+                         ids=["lc2", "lc3", "lc-1", "s6-1"])
+def test_gcd_with_non_monic_and_sparse_factors(h):
+    f = 3 * S ** 3 - S + 2
+    g = 2 * Q + 5
+    assert gcd_s(f, g) == ONE
+    normalized = h if h.sorted_terms()[-1][1] > 0 else -h
+    assert gcd_s(f * h, g * h) == normalized
+    assert gcd_s(h * h * f, g * h * S ** -4) == normalized
+    assert exact_div_s(f * h * A, h) == f * A
+
+
+def test_exact_div_by_a_sparse_divisor():
+    d = S ** 6 - 1
+    f = A * (Q + S + 1) + G * monomial(-2, s=-3) + AL * S
+    assert exact_div_s(f * d, d) == f
+    assert exact_div_s(d, S - 1) == 1 + S + Q + S ** 3 + Q ** 2 + S ** 5
+
+
+def test_exact_div_honours_the_divisors_power_of_s():
+    assert exact_div_s(S ** 3, S) == Q
+    assert exact_div_s(A * S ** 2, S ** 2) == A
+    f = A * (Q + 3) - G * S ** -1
+    d = S ** -2 * (2 * Q + 1)
+    assert exact_div_s(f * d, d) == f
+
+
+def test_exact_div_rejects_a_remainder_in_the_low_coefficients():
+    # every step from the top divides; only the constant term is left over
+    with pytest.raises(ArithmeticError):
+        exact_div_s((Q + 1) * (S + 1) + 1, Q + 1)
+    with pytest.raises(ArithmeticError):
+        exact_div_s(A * ((2 * Q + 1) * (S - 3) + S), 2 * Q + 1)
+    with pytest.raises(ArithmeticError):
+        _list_exact_div([1, 0, 2, 0], [1, 0, 1])
+
+
+def test_exact_div_rejects_a_lead_that_does_not_divide():
+    with pytest.raises(ArithmeticError):
+        exact_div_s(3 * Q + 1, 2 * S + 1)
+    with pytest.raises(ArithmeticError):
+        exact_div_s(S + 1, Q + 1)
+
+
+# The Z[s] kernels as they were before pseudo-division learnt to step by
+# the quotient: every step scales the remainder by lc(g).  Kept here as a
+# reference that does not share code with the package.
+
+def _ref_trim(f):
+    n = len(f)
+    while n and f[n - 1] == 0:
+        n -= 1
+    return f[:n]
+
+
+def _ref_primitive(f):
+    c = 0
+    for v in f:
+        c = gcd(c, v)
+    return list(f) if c in (0, 1) else [v // c for v in f]
+
+
+def _ref_prem(f, g):
+    f = list(f)
+    dg = len(g) - 1
+    lg = g[-1]
+    while len(f) - 1 >= dg and f:
+        df = len(f) - 1
+        lead = f[-1]
+        f = [lg * c for c in f]
+        for i, gc in enumerate(g):
+            f[df - dg + i] -= lead * gc
+        f = _ref_trim(f)
+    return f
+
+
+def _ref_gcd(f, g):
+    f = _ref_primitive(_ref_trim(f))
+    g = _ref_primitive(_ref_trim(g))
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        if len(g) == 1:
+            return [1]
+        f, g = g, _ref_primitive(_ref_prem(f, g))
+    return [-c for c in f] if f and f[-1] < 0 else f
+
+
+def _ref_exact_div(f, d):
+    f = list(f)
+    dd = len(d) - 1
+    ld = d[-1]
+    if len(f) - 1 < dd:
+        if not _ref_trim(f):
+            return []
+        raise ArithmeticError("inexact polynomial division")
+    out = [0] * (len(f) - dd)
+    for i in range(len(out) - 1, -1, -1):
+        c, rem = divmod(f[i + dd], ld)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        out[i] = c
+        if c:
+            for j, dc in enumerate(d):
+                f[i + j] -= c * dc
+    if _ref_trim(f):
+        raise ArithmeticError("inexact polynomial division")
+    return out
+
+
+def _dense_s(f):
+    """(lo, ascending coefficients) of an s-only polynomial."""
+    terms = {e.s: c for e, c in f.terms.items()}
+    lo = min(terms)
+    return lo, [terms.get(k, 0) for k in range(lo, max(terms) + 1)]
+
+
+def _ref_exact_div_s(f, d):
+    shift, dc = _dense_s(d)
+    slices = {}
+    for e, c in f.terms.items():
+        slices.setdefault((e.a, e.aL, e.g), {})[e.s] = c
+    out = {}
+    for (a, aL, g), piece in slices.items():
+        lo = min(piece)
+        coeffs = [piece.get(k, 0) for k in range(lo, max(piece) + 1)]
+        for i, c in enumerate(_ref_exact_div(coeffs, dc)):
+            if c:
+                out[Exponent(lo + i - shift, a, aL, g)] = c
+    return LaurentPolynomial(out)
+
+
+_s_polys = laurent_polynomials(max_terms=5, s_only=True, nonzero=True)
+
+
+@given(_s_polys, _s_polys, _s_polys)
+def test_gcd_matches_the_scaling_reference(f, g, h):
+    for x, y in ((f, g), (f * h, g * h), (f * h * h, h)):
+        _, xc = _dense_s(x)
+        _, yc = _dense_s(y)
+        ref = _ref_gcd(xc, yc)
+        assert gcd_s(x, y) == LaurentPolynomial(
+            {Exponent(s=i): c for i, c in enumerate(ref)})
+
+
+@given(_s_polys, _s_polys)
+def test_prem_matches_the_scaling_reference_up_to_a_constant(f, g):
+    # a dividend longer than the divisor, so that steps run
+    longer = f * g + f
+    assume(not longer.is_zero)
+    _, fc = _dense_s(longer)
+    _, gc = _dense_s(g)
+    assert _proportional(_list_prem(fc, gc), _ref_prem(fc, gc))
+
+
+@given(laurent_polynomials(), _s_polys, st.booleans())
+def test_exact_div_matches_the_reference(f, d, exact):
+    if exact:
+        f = f * d
+    try:
+        expected = _ref_exact_div_s(f, d)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            exact_div_s(f, d)
+    else:
+        assert exact_div_s(f, d) == expected
 
 
 # ---------------------------------------------------------------------------
