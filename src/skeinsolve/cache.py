@@ -5,7 +5,8 @@ An entry is one cache-only line holding the sha256 of the served bytes,
 followed by those exact bytes, so a hit is byte-identical to a fresh
 computation; the CLI's --no-cache flag provides the cross-check path.  The
 package version in the key keeps a newer solver from serving an older one's
-bytes.  The directory comes from SKEINSOLVE_CACHE_DIR, falling back to the
+bytes.  Together they vouch for a hit, so a text read wraps its records as
+written instead of reducing them again.  The directory comes from SKEINSOLVE_CACHE_DIR, falling back to the
 user cache root.
 """
 

@@ -8,9 +8,8 @@ is the cell itself, its arm (cells to the right in the same row) and its leg
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .ring import (
     LaurentPolynomial,
@@ -113,8 +112,7 @@ def partition_sort_key(p: Partition) -> tuple[int, tuple[int, ...]]:
     return (p.size, tuple(-x for x in p.parts))
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One box of a Young diagram with its derived statistics."""
 
     row: int

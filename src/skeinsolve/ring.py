@@ -11,9 +11,11 @@ into a denominator is an error, not a silent extension of the ring.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class DenominatorNotSUnivariateError(ValueError):
@@ -308,6 +310,8 @@ class LaurentPolynomial:
     def evaluate(self, s: Fraction | int = 1, a: Fraction | int = 1,
                  aL: Fraction | int = 1, g: Fraction | int = 1) -> Fraction:
         """Exact evaluation at nonzero rational points."""
+        # imported here: no command evaluates, and fractions loads decimal
+        from fractions import Fraction
         vals = (Fraction(s), Fraction(a), Fraction(aL), Fraction(g))
         total = Fraction(0)
         for e, c in self._terms.items():

@@ -12,7 +12,7 @@ import json
 from typing import Iterable
 
 from .partitions import Partition
-from .ring import Exponent, LaurentPolynomial, RationalFunction
+from .ring import Exponent, LaurentPolynomial, RationalFunction, _new_rf
 from .skein import SkeinVector
 
 SCHEMA_VERSION = 1
@@ -28,6 +28,8 @@ def poly_records(p: LaurentPolynomial) -> list[dict]:
 
 
 def poly_from_records(records: Iterable[dict]) -> LaurentPolynomial:
+    """The canonical polynomial of a record list in any order: zero terms
+    are dropped."""
     return LaurentPolynomial({
         Exponent(r["s"], r["a"], r["aL"], r["g"]): int(r["c"]) for r in records
     })
@@ -38,8 +40,15 @@ def rf_record(x: RationalFunction) -> dict:
 
 
 def rf_from_record(record: dict) -> RationalFunction:
-    return RationalFunction(
-        poly_from_records(record["num"]), poly_from_records(record["den"]))
+    """The value rf_record wrote, wrapped as read, without a second reduction.
+
+    rf_record writes only reduced values, and a cache entry's sha256 line and
+    the version in its key stand behind the bytes read back, so reducing
+    them again would remove nothing.  Records from anywhere else are wrapped
+    as they are, reduced or not.
+    """
+    return _new_rf(poly_from_records(record["num"]),
+                   poly_from_records(record["den"]))
 
 
 def skein_vector_records(v: SkeinVector, *, geometry: str | None = None,

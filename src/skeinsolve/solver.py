@@ -11,10 +11,9 @@ indexing partition with quantum-bracket denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import permutations as _permutations, product as _cartesian
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .partitions import (
     BOX,
@@ -78,25 +77,26 @@ _OPERATORS = {
 }
 
 
-@dataclass(frozen=True)
 class Geometry:
     """A geometry tag together with its annihilation operator, which must
     have the shape  O - P10 + x P01 + y P11  (ValueError otherwise)."""
 
-    tag: GeometryTag
-    operator: OperatorExpression
-    _x: LaurentPolynomial = field(init=False, repr=False, compare=False)
-    _y: LaurentPolynomial = field(init=False, repr=False, compare=False)
+    __slots__ = ("tag", "operator", "_x", "_y")
 
-    def __post_init__(self) -> None:
-        coeffs = {word: coeff for coeff, word in self.operator.terms}
+    def __init__(self, tag: GeometryTag, operator: OperatorExpression):
+        coeffs = {word: coeff for coeff, word in operator.terms}
         x = coeffs.pop((Generator.P01,), ZERO)
         y = coeffs.pop((Generator.P11,), ZERO)
         if coeffs != {(Generator.UNKNOT,): 1, (Generator.P10,): -1}:
-            raise ValueError(f"operator {self.operator} is not of the form "
+            raise ValueError(f"operator {operator} is not of the form "
                              "O - P10 + x P01 + y P11")
-        object.__setattr__(self, "_x", x)
-        object.__setattr__(self, "_y", y)
+        self.tag = tag
+        self.operator = operator
+        self._x = x
+        self._y = y
+
+    def __repr__(self) -> str:
+        return f"Geometry(tag={self.tag!r}, operator={self.operator!r})"
 
     def raising_weight(self, cell: Cell) -> LaurentPolynomial:
         """Coefficient the operator's raising part attaches to an added box:
@@ -223,8 +223,7 @@ def swap_symmetry_check(max_degree: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientTemplate:
+class CoefficientTemplate(NamedTuple):
     """Ansatz  unknot + sum of fixed coefficients + sum of unknowns, with the
     low-degree coefficients of the solution as constraints.
 
@@ -234,7 +233,7 @@ class CoefficientTemplate:
 
     unknowns: tuple[Generator, ...]
     psi_box: RationalFunction
-    psi_empty: RationalFunction = field(default_factory=lambda: RationalFunction(1))
+    psi_empty: RationalFunction = RationalFunction(1)
     fixed: tuple[tuple[Generator, LaurentPolynomial], ...] = ()
     exponent_bound: int = 2
 

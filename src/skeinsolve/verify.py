@@ -6,7 +6,6 @@ identities checked plus the first counterexample, if any.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .partitions import (
@@ -40,13 +39,20 @@ from .solver import (
 )
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    max_degree: int
-    checked: int = 0
-    failures: int = 0
-    first_counterexample: str | None = None
+    """Counts of one suite's identities checked and failed, and the first
+    counterexample found."""
+
+    __slots__ = ("suite", "max_degree", "checked", "failures",
+                 "first_counterexample")
+
+    def __init__(self, suite: str, max_degree: int, checked: int = 0,
+                 failures: int = 0, first_counterexample: str | None = None):
+        self.suite = suite
+        self.max_degree = max_degree
+        self.checked = checked
+        self.failures = failures
+        self.first_counterexample = first_counterexample
 
     @property
     def passed(self) -> bool:

@@ -141,8 +141,9 @@ def test_cache_round_trip_is_byte_identical(capsys, isolated_cache):
     assert files[0].read_bytes() == checksum + b"\n" + body
 
 
-def test_cache_text_mode_renders_from_records(capsys, isolated_cache):
-    args = ("psi", "--geometry", "unknot", "--max-degree", "2")
+@pytest.mark.parametrize("geometry", ("c3", "unknot", "unknot-prime"))
+def test_cache_text_mode_renders_from_records(capsys, isolated_cache, geometry):
+    args = ("psi", "--geometry", geometry, "--max-degree", "6")
     code, first, _ = run_cli(capsys, *args)
     code, second, _ = run_cli(capsys, *args)
     assert first == second
@@ -196,6 +197,16 @@ def test_entry_from_another_version_is_a_miss(capsys, isolated_cache, monkeypatc
     assert run_cli(capsys, *args) == (0, fresh, "")
 
 
+def test_version_matches_pyproject():
+    # the version in the cache key is what keeps an older solver's entries
+    # from being served, so it must be the released one
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert skeinsolve.__version__ == project["version"]
+
+
 def test_unusable_cache_dir_warns_and_still_answers(capsys, tmp_path, monkeypatch):
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
@@ -226,6 +237,20 @@ def test_verify_all_suites_small(capsys):
                                "--max-degree", "3")
         assert code == 0, (suite, out)
         assert "failures=0" in out
+
+
+def test_suite_report_starts_at_zero_and_keeps_the_first_counterexample():
+    report = SuiteReport(suite="parity", max_degree=4)
+    assert (report.checked, report.failures) == (0, 0)
+    assert report.first_counterexample is None and report.passed
+    assert report.lines() == ["suite=parity max-degree=4 checked=0 failures=0 pass"]
+    report.record(True, lambda: "not called")
+    report.record(False, lambda: "first")
+    report.record(False, lambda: "second")
+    assert (report.checked, report.failures) == (3, 2)
+    assert report.lines() == [
+        "suite=parity max-degree=4 checked=3 failures=2 FAIL",
+        "first counterexample: first"]
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from skeinsolve import (
+    Cell,
     CellNotInPartitionError,
     EmptyPartitionError,
     Partition,
@@ -101,6 +102,16 @@ def test_cell_at_validates():
     c = cell_at(Partition((2, 1)), 1, 1)
     assert (c.arm, c.leg, c.coarm, c.coleg) == (1, 1, 0, 0)
     assert c.hook == 3 and c.content == 0
+
+
+def test_cell_is_an_immutable_value():
+    c = Cell(row=2, col=1, arm=0, leg=0, coarm=0, coleg=1)
+    assert (c.content, c.hook) == (-1, 1)
+    assert c == cell_at(Partition((2, 1)), 2, 1)
+    assert hash(c) == hash(cell_at(Partition((2, 1)), 2, 1))
+    assert repr(c) == "Cell(row=2, col=1, arm=0, leg=0, coarm=0, coleg=1)"
+    with pytest.raises(AttributeError):
+        c.row = 1
 
 
 def test_content_polynomial_642():

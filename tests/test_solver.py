@@ -238,6 +238,18 @@ def test_unknot_coefficients_two_branches():
     assert len(solutions) == 2
 
 
+def test_coefficient_template_defaults():
+    template = CoefficientTemplate(unknowns=(Generator.P01,),
+                                   psi_box=RationalFunction(G, Z_BRACKET))
+    assert template.psi_empty == RationalFunction(1)
+    assert template.fixed == ()
+    assert template.exponent_bound == 2
+    assert template == CoefficientTemplate(
+        (Generator.P01,), RationalFunction(G, Z_BRACKET), RationalFunction(1), (), 2)
+    with pytest.raises(AttributeError):
+        template.exponent_bound = 3
+
+
 def test_no_solution_without_box_term():
     template = CoefficientTemplate(
         unknowns=(Generator.P01,),
@@ -303,6 +315,13 @@ def test_geometry_accepts_enum_and_string():
 def test_geometry_rejects_operator_of_wrong_shape(operator):
     with pytest.raises(ValueError):
         Geometry(GeometryTag.C3, operator)
+
+
+def test_geometry_keeps_its_tag_and_operator():
+    op = UNKNOT_OP - P10_OP + P01_OP.scale(AL * G)
+    geom = Geometry(GeometryTag.C3, op)
+    assert (geom.tag, geom.operator) == (GeometryTag.C3, op)
+    assert repr(geom) == f"Geometry(tag={GeometryTag.C3!r}, operator={op!r})"
 
 
 def test_recursion_solves_any_operator_of_the_shape():
