@@ -6,8 +6,8 @@ followed by those exact bytes, so a hit is byte-identical to a fresh
 computation; the CLI's --no-cache flag provides the cross-check path.  The
 package version in the key keeps a newer solver from serving an older one's
 bytes.  Together they vouch for a hit, so a text read wraps its records as
-written instead of reducing them again.  The directory comes from SKEINSOLVE_CACHE_DIR, falling back to the
-user cache root.
+written instead of reducing them again.  The directory comes from
+SKEINSOLVE_CACHE_DIR, falling back to the user cache root.
 """
 
 from __future__ import annotations

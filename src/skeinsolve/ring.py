@@ -80,17 +80,12 @@ def _q_power_str(s_exp: int) -> str:
     return "q^{%d/2}" % s_exp
 
 
-_VAR_STR = {"a": "a", "aL": "aL", "g": "γ"}
-
-
 def _term_str(exp: Exponent, coeff: int) -> str:
-    factors = []
-    for name in ("g", "a", "aL"):
-        e = getattr(exp, name)
-        if e != 0:
-            factors.append(_power_str(_VAR_STR[name], e))
-    if exp.s != 0:
-        factors.append(_q_power_str(exp.s))
+    s, a, aL, g = exp
+    factors = [_power_str(name, e) for name, e in (("γ", g), ("a", a), ("aL", aL))
+               if e != 0]
+    if s != 0:
+        factors.append(_q_power_str(s))
     if not factors:
         return str(coeff)
     body = " ".join(factors)
@@ -327,15 +322,10 @@ class LaurentPolynomial:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        pieces: list[str] = []
-        for exp, coeff in self.sorted_terms():
-            rendered = _term_str(exp, abs(coeff))
-            if not pieces:
-                pieces.append(_term_str(exp, coeff))
-            elif coeff < 0:
-                pieces.append("- " + rendered)
-            else:
-                pieces.append("+ " + rendered)
+        (exp, coeff), *rest = self.sorted_terms()
+        pieces = [_term_str(exp, coeff)]
+        for exp, coeff in rest:
+            pieces.append(("- " if coeff < 0 else "+ ") + _term_str(exp, abs(coeff)))
         return " ".join(pieces)
 
     def __repr__(self) -> str:

@@ -27,12 +27,13 @@ def poly_records(p: LaurentPolynomial) -> list[dict]:
     ]
 
 
-def poly_from_records(records: Iterable[dict]) -> LaurentPolynomial:
+def poly_from_records(records: list[dict]) -> LaurentPolynomial:
     """The canonical polynomial of a record list in any order: zero terms
-    are dropped."""
-    return LaurentPolynomial({
-        Exponent(r["s"], r["a"], r["aL"], r["g"]): int(r["c"]) for r in records
-    })
+    are dropped.  Raises ValueError if an exponent is repeated."""
+    terms = {Exponent(r["s"], r["a"], r["aL"], r["g"]): int(r["c"]) for r in records}
+    if len(terms) != len(records):
+        raise ValueError("repeated exponent in polynomial records")
+    return LaurentPolynomial(terms)
 
 
 def rf_record(x: RationalFunction) -> dict:

@@ -12,8 +12,8 @@ indexing partition with quantum-bracket denominators.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import permutations as _permutations, product as _cartesian
-from typing import Callable, Mapping, NamedTuple
+from itertools import product as _cartesian
+from typing import Callable, NamedTuple
 
 from .partitions import (
     BOX,
@@ -227,8 +227,9 @@ class CoefficientTemplate(NamedTuple):
     """Ansatz  unknot + sum of fixed coefficients + sum of unknowns, with the
     low-degree coefficients of the solution as constraints.
 
-    Unknown coefficients range over signed monomials in a, aL, g with each
-    exponent bounded by exponent_bound in absolute value.
+    Unknown coefficients, one per distinct generator, range over signed
+    monomials in a, aL, g with each exponent bounded by exponent_bound in
+    absolute value.
     """
 
     unknowns: tuple[Generator, ...]
@@ -256,19 +257,6 @@ def unknot_template() -> CoefficientTemplate:
     )
 
 
-def _as_bounded_signed_monomial(value: RationalFunction,
-                                bound: int) -> SignedMonomial | None:
-    """The value as a signed monomial in a, aL, g within bounds, else None."""
-    if not value.denominator.is_one:
-        return None
-    sm = value.numerator.as_signed_monomial()
-    if sm is None or sm.exponent.s != 0:
-        return None
-    if max(abs(sm.exponent.a), abs(sm.exponent.aL), abs(sm.exponent.g)) > bound:
-        return None
-    return sm
-
-
 def _candidate_monomials(bound: int) -> list[SignedMonomial]:
     out = []
     for sign in (1, -1):
@@ -282,54 +270,59 @@ def solve_monomial_coefficients(
     """All signed-monomial assignments to the template's unknowns for which
     the assembled operator kills the constrained part of the solution.
 
-    The degree-0 equation pins any diagonal unknown outright; the remaining
-    identity in the W_box coefficient is split exactly into one signed
-    monomial per unknown, with bounded enumeration as a fallback.  Raises
-    NoSolutionError if nothing fits within the exponent bounds.
+    A(phi) is linear in the coefficients, so its empty and box coefficients
+    are linear equations in the unknowns that enter them.  At each in turn,
+    the still-unassigned unknowns that enter it are enumerated over the
+    bounded signed monomials, all but the last, and the last is solved
+    exactly: its factor is nonzero, so the enumerated values determine it
+    uniquely, and it is kept if it is itself a bounded signed monomial free
+    of s.  Unknowns entering neither equation are enumerated.  The result is
+    therefore exactly what an exhaustive search over all bounded assignments
+    finds, each assignment once, in a fixed order.  Raises NoSolutionError
+    if it is empty, and ValueError if an unknown is the unknot or repeated.
     """
-    for gen in template.unknowns:
+    unknowns = template.unknowns
+    for gen in unknowns:
         if gen in (Generator.UNKNOT, Generator.IDENTITY):
             raise ValueError("the unknot coefficient is pinned to 1 by rescaling")
+    if len(set(unknowns)) != len(unknowns):
+        raise ValueError("an unknown generator is listed twice")
     phi = SkeinVector({EMPTY: template.psi_empty, BOX: template.psi_box}, 1)
     known_op = UNKNOT_OP + OperatorExpression(
         [(coeff, (gen,)) for gen, coeff in template.fixed])
     base = known_op.apply(phi)
-    images = {gen: OperatorExpression.generator(gen).apply(phi)
-              for gen in template.unknowns}
+    images = {gen: OperatorExpression.generator(gen).apply(phi) for gen in unknowns}
+    candidates = _candidate_monomials(template.exponent_bound)
+    allowed = set(candidates)  # the bounds, and no power of s
 
-    # Degree 0: only diagonal generators contribute to the empty coefficient.
-    base0 = base.coefficient(EMPTY)
-    diagonal = [gen for gen in template.unknowns
-                if not images[gen].coefficient(EMPTY).is_zero]
-    pinned: dict[Generator, SignedMonomial] = {}
-    if len(diagonal) == 1:
-        gen = diagonal[0]
-        sm = monomial_ratio(-base0, images[gen].coefficient(EMPTY))
-        if sm is None or sm.exponent.s != 0 or max(
-                abs(sm.exponent.a), abs(sm.exponent.aL),
-                abs(sm.exponent.g)) > template.exponent_bound:
-            raise NoSolutionError(
-                f"degree-0 equation gives no signed-monomial value for {gen.value}")
-        pinned[gen] = sm
-    elif not diagonal and not base0.is_zero:
-        raise NoSolutionError("degree-0 equation is inconsistent")
-
-    remaining = [gen for gen in template.unknowns if gen not in pinned]
-    residual = base.coefficient(BOX)
-    for gen, sm in pinned.items():
-        residual = residual + images[gen].coefficient(BOX) * sm.to_polynomial()
-
-    solutions: list[dict[Generator, SignedMonomial]] = []
-    if not remaining:
-        if residual.is_zero:
-            solutions.append(dict(pinned))
-    else:
-        factors = {gen: images[gen].coefficient(BOX) for gen in remaining}
-        split = _split_into_monomials(-residual, factors, template.exponent_bound)
-        if not split:  # non-monomial factors or no exact split: enumerate
-            split = _enumerate_assignments(-residual, factors, template.exponent_bound)
-        for assignment in split:
-            solutions.append({**pinned, **assignment})
+    solutions: list[dict[Generator, SignedMonomial]] = [{}]
+    free = list(unknowns)
+    for p in (EMPTY, BOX):
+        factor = {gen: images[gen].coefficient(p) for gen in unknowns}
+        entering = [gen for gen in free if not factor[gen].is_zero]
+        free = [gen for gen in free if factor[gen].is_zero]
+        extended = []
+        for assignment in solutions:
+            residual = base.coefficient(p)
+            for gen, sm in assignment.items():
+                residual = residual + factor[gen] * sm.to_polynomial()
+            if not entering:
+                if residual.is_zero:
+                    extended.append(assignment)
+                continue
+            *enumerated, last = entering
+            for choice in _cartesian(candidates, repeat=len(enumerated)):
+                total = residual
+                for gen, sm in zip(enumerated, choice):
+                    total = total + factor[gen] * sm.to_polynomial()
+                solved = monomial_ratio(-total, factor[last])
+                if solved in allowed:
+                    extended.append({**assignment, **dict(zip(enumerated, choice)),
+                                     last: solved})
+        solutions = extended
+    solutions = [{**assignment, **dict(zip(free, choice))}
+                 for assignment in solutions
+                 for choice in _cartesian(candidates, repeat=len(free))]
 
     # Confirm every candidate exactly on the constrained degrees.
     confirmed = []
@@ -338,71 +331,8 @@ def solve_monomial_coefficients(
             [(sm.to_polynomial(), (gen,)) for gen, sm in assignment.items()])
         if op.apply(phi).is_zero:
             confirmed.append(assignment)
+    if not confirmed:
+        raise NoSolutionError("no signed-monomial assignment within bounds")
     confirmed.sort(key=lambda asg: sorted(
         (gen.value, sm.sign, sm.exponent) for gen, sm in asg.items()))
-    deduped = []
-    for assignment in confirmed:
-        if assignment not in deduped:
-            deduped.append(assignment)
-    if not deduped:
-        raise NoSolutionError("no signed-monomial assignment within bounds")
-    return deduped
-
-
-def _split_into_monomials(target: RationalFunction,
-                          factors: Mapping[Generator, RationalFunction],
-                          bound: int) -> list[dict[Generator, SignedMonomial]] | None:
-    """Solve target = sum factor_g * x_g with each x_g one signed monomial.
-
-    Only applicable when every factor is itself a monomial with unit
-    coefficient; returns None to request enumeration otherwise.
-    """
-    gens = list(factors)
-    factor_sm = {}
-    for gen in gens:
-        rf = factors[gen]
-        if not rf.denominator.is_one:
-            return None
-        sm = rf.numerator.as_signed_monomial()
-        if sm is None:
-            return None
-        factor_sm[gen] = sm
-    if not target.denominator.is_one:
-        return []
-    terms = target.numerator.sorted_terms()
-    if len(terms) != len(gens):
-        return []
-    out = []
-    for ordering in _permutations(terms):
-        assignment = {}
-        for gen, (exp, coeff) in zip(gens, ordering):
-            f = factor_sm[gen]
-            if coeff * f.sign not in (1, -1):
-                break
-            sm = SignedMonomial(
-                coeff * f.sign,
-                Exponent(*(e - fe for e, fe in zip(exp, f.exponent))),
-            )
-            if _as_bounded_signed_monomial(
-                    RationalFunction(sm.to_polynomial()), bound) is None:
-                break
-            assignment[gen] = sm
-        else:
-            out.append(assignment)
-    return out
-
-
-def _enumerate_assignments(target: RationalFunction,
-                           factors: Mapping[Generator, RationalFunction],
-                           bound: int) -> list[dict[Generator, SignedMonomial]]:
-    """Exhaustive search over bounded signed monomials for each unknown."""
-    gens = list(factors)
-    candidates = _candidate_monomials(bound)
-    out = []
-    for choice in _cartesian(candidates, repeat=len(gens)):
-        total = target
-        for gen, sm in zip(gens, choice):
-            total = total - factors[gen] * sm.to_polynomial()
-        if total.is_zero:
-            out.append(dict(zip(gens, choice)))
-    return out
+    return confirmed

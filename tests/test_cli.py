@@ -104,18 +104,24 @@ def test_solve_coefficients_text(capsys):
     assert out == "solution 1: P01 = γ aL, P10 = -1\n"
     code, out, _ = run_cli(capsys, "solve-coefficients", "--geometry", "unknot")
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 2
-    assert "P10 = -1" in lines[0] and "P10 = -1" in lines[1]
+    assert out == (
+        "solution 1: P01 = -γ a^{-1} aL, P10 = -1, P11 = γ a\n"
+        "solution 2: P01 = γ a aL, P10 = -1, P11 = -γ a^{-1}\n")
 
 
 def test_solve_coefficients_records(capsys):
     code, out, _ = run_cli(
         capsys, "solve-coefficients", "--geometry", "unknot",
         "--format", "records")
-    rows = loads_records(out)
-    assert rows[0]["count"] == 2
-    assert all(set(r) == {"P01", "P10", "P11"} for r in rows[1:])
+    assert code == 0
+    assert out == (
+        '{"count":2,"geometry":"unknot","kind":"coefficient-solutions","schema":1}\n'
+        '{"P01":[{"a":-1,"aL":1,"c":"-1","g":1,"s":0}],'
+        '"P10":[{"a":0,"aL":0,"c":"-1","g":0,"s":0}],'
+        '"P11":[{"a":1,"aL":0,"c":"1","g":1,"s":0}]}\n'
+        '{"P01":[{"a":1,"aL":1,"c":"1","g":1,"s":0}],'
+        '"P10":[{"a":0,"aL":0,"c":"-1","g":0,"s":0}],'
+        '"P11":[{"a":-1,"aL":0,"c":"-1","g":1,"s":0}]}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ def test_rendering():
     assert str(ZERO) == "0"
     assert str(-S) == "-q^{1/2}"
     assert str(G * A ** -1 * monomial(2)) == "2γ a^{-1}"
+    assert str(monomial(-2, a=-1, g=1) + Q) == "-2γ a^{-1} + q"
+    assert str(monomial(-2) - 3 * S) == "-2 - 3q^{1/2}"
 
 
 # ---------------------------------------------------------------------------

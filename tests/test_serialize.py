@@ -57,6 +57,12 @@ def test_poly_from_records_drops_zero_terms():
     assert p.terms == {Exponent(s=1): -1}
 
 
+def test_poly_from_records_rejects_a_repeated_exponent():
+    one = {"s": 1, "a": 0, "aL": 0, "g": 0}
+    with pytest.raises(ValueError):
+        poly_from_records([dict(one, c="2"), dict(one, c="-1")])
+
+
 @pytest.mark.parametrize("geometry", ("c3", "unknot", "unknot-prime"))
 def test_read_back_wraps_records_without_reducing(geometry, monkeypatch):
     # rf_record writes reduced values, so reading them back needs no gcd

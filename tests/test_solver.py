@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from skeinsolve import (
@@ -282,6 +284,85 @@ def test_unknown_cannot_be_unknot():
     with pytest.raises(ValueError):
         solve_monomial_coefficients(CoefficientTemplate(
             unknowns=(Generator.UNKNOT,), psi_box=RationalFunction(0)))
+
+
+def test_repeated_unknown_is_rejected():
+    with pytest.raises(ValueError):
+        solve_monomial_coefficients(CoefficientTemplate(
+            unknowns=(Generator.P10, Generator.P01, Generator.P01),
+            psi_box=RationalFunction(G, Z_BRACKET)))
+
+
+# An exhaustive reference: every bounded signed-monomial assignment is tried.
+# Each generator's image of phi is computed once; a candidate is screened by
+# its value at a fixed point mod a prime and confirmed by exact arithmetic.
+
+_PRIME = 2 ** 61 - 1
+_POINT = {"s": 3, "a": 5, "aL": 7, "g": 11}
+
+
+def _mod_prime(x) -> int:
+    value = x.evaluate(**_POINT)
+    return value.numerator * pow(value.denominator, -1, _PRIME) % _PRIME
+
+
+def _solution_key(solution):
+    return sorted((gen.value, sm.sign, sm.exponent) for gen, sm in solution.items())
+
+
+def _brute_force_coefficients(template):
+    phi = SkeinVector({EMPTY: template.psi_empty, BOX: template.psi_box}, 1)
+    known = UNKNOT_OP + OperatorExpression(
+        [(coeff, (gen,)) for gen, coeff in template.fixed])
+    base = known.apply(phi)
+    images = [OperatorExpression.generator(gen).apply(phi)
+              for gen in template.unknowns]
+    bound = range(-template.exponent_bound, template.exponent_bound + 1)
+    monomials = [SignedMonomial(sign, Exponent(0, *e))
+                 for sign in (1, -1) for e in itertools.product(bound, repeat=3)]
+    parts = (EMPTY, BOX)
+    tables = [[(sm, [_mod_prime(sm.to_polynomial()) * _mod_prime(img.coefficient(p))
+                     for p in parts]) for sm in monomials] for img in images]
+    targets = [_mod_prime(base.coefficient(p)) for p in parts]
+    found = []
+    for choice in itertools.product(*tables):
+        if any((t + sum(values[i] for _, values in choice)) % _PRIME
+               for i, t in enumerate(targets)):
+            continue
+        if all((base.coefficient(p) + sum(
+                (img.coefficient(p) * sm.to_polynomial()
+                 for img, (sm, _) in zip(images, choice)),
+                RationalFunction(0))).is_zero for p in parts):
+            found.append({gen: sm for gen, (sm, _) in zip(template.unknowns, choice)})
+    return sorted(found, key=_solution_key)
+
+
+@pytest.mark.parametrize("template,count", (
+    (c3_template()._replace(exponent_bound=1), 1),
+    (unknot_template()._replace(exponent_bound=1), 2),
+    (CoefficientTemplate(  # P01 and aL P11 cancel in the box coefficient
+        unknowns=(Generator.P01, Generator.P11), psi_box=RationalFunction(0),
+        fixed=((Generator.P10, -monomial(1)),), exponent_bound=1), 36),
+    (CoefficientTemplate(  # P01's factor 1 + a is not a monomial
+        unknowns=(Generator.P10, Generator.P01),
+        psi_empty=RationalFunction(1 + A),
+        psi_box=RationalFunction(G * (1 + A), Z_BRACKET), exponent_bound=1), 1),
+    (CoefficientTemplate(
+        unknowns=(Generator.P01,), psi_box=RationalFunction(0),
+        fixed=((Generator.P10, -monomial(1)),), exponent_bound=1), 0),
+    (CoefficientTemplate(  # with phi = 0 no coefficient constrains P01
+        unknowns=(Generator.P01,), psi_empty=RationalFunction(0),
+        psi_box=RationalFunction(0), exponent_bound=1), 54),
+), ids=("c3", "unknot", "cancelling-pair", "non-monomial-factor", "no-box-term",
+        "unconstrained"))
+def test_coefficients_match_brute_force(template, count):
+    expected = _brute_force_coefficients(template)
+    assert len(expected) == count
+    try:
+        solutions = solve_monomial_coefficients(template)
+    except NoSolutionError:
+        solutions = []
+    assert solutions == expected
 
 
 # ---------------------------------------------------------------------------
