@@ -1,4 +1,5 @@
-"""Young-diagram combinatorics: contents, hooks, hook polynomials, branching.
+"""Young-diagram combinatorics: contents, hooks, hook polynomials, cyclotomic
+hook factors, branching.
 
 Diagrams use the English convention (rows left-justified, row 1 on top), so
 the content of the cell in row i, column j is j - i and the hook of a cell
@@ -9,12 +10,14 @@ is the cell itself, its arm (cells to the right in the same row) and its leg
 from __future__ import annotations
 
 from functools import cache, reduce
-from typing import Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .ring import (
     LaurentPolynomial,
     ONE,
     RationalFunction,
+    cyclotomic_product,
     monomial,
     q_int,
 )
@@ -272,31 +275,60 @@ def parity_sum(p: Partition) -> int:
     return sum(c.content + c.hook + 1 for c in cells(p))
 
 
+@cache
+def hook_denominator(p: Partition) -> Mapping[int, int]:
+    """The hook denominator H_p = prod over cells of (q^{hook} - 1) as
+    cyclotomic exponents {d: e}, with H_p = prod over d of Phi_d(q)^e.
+
+    A cell contributes one Phi_d for each divisor d of its hook, so e_1 = |p|,
+    and h_p = q^{-sum of legs} H_p / (q - 1)^{|p|}.  The mapping is read-only.
+    """
+    out: dict[int, int] = {}
+    for c in cells(p):
+        for d in range(1, c.hook + 1):
+            if c.hook % d == 0:
+                out[d] = out.get(d, 0) + 1
+    return MappingProxyType(out)
+
+
 def verify_branching(mu: Partition) -> bool:
     """Check the weighted hook-length branching rule for mu exactly:
 
         c_mu(q) / h_mu(q) == sum over lambda with lambda + box = mu
                              of 1 / h_lambda(q)
 
-    Verified in cross-multiplied polynomial form, which avoids any gcd work
-    at large sizes.
+    With E_p = hook_denominator(p) and sigma_p = -(sum of legs), each
+    h_p = q^{sigma_p} Phi^{E_p} / (q - 1)^{|p|}.  Multiplied through by
+    q^{sigma_mu} (q - 1)^{|mu| - 1}, the rule reads
+
+        c_mu (q - 1) / Phi^{E_mu} == sum of q^{sigma_mu - sigma_lambda} / Phi^{E_lambda},
+
+    and multiplied through by Phi^M, M the elementwise max of E_mu and every
+    E_lambda (their lcm), it becomes the polynomial identity
+
+        c_mu (q - 1) Phi^{M - E_mu} == sum of q^{sigma_mu - sigma_lambda} Phi^{M - E_lambda}.
+
+    Every factor multiplied through is a nonzero polynomial, so this holds
+    exactly when the rule does.  Removing the box in row r lowers the leg of
+    the r - 1 cells above it by one, so sigma_mu - sigma_lambda = -(r - 1).
     """
     if mu.is_empty:
         raise EmptyPartitionError("branching rule needs at least one box")
-    lam_hooks = [hook_polynomial(lam) for lam, _ in removable_cells(mu)]
-    n = len(lam_hooks)
-    prefix = [ONE] * (n + 1)
-    for i, h in enumerate(lam_hooks):
-        prefix[i + 1] = prefix[i] * h
-    # suffix[k] = lam_hooks[k] * ... * lam_hooks[n-1]; suffix[0] is never read
-    suffix = [ONE] * (n + 1)
-    for i in range(n - 1, 0, -1):
-        suffix[i] = lam_hooks[i] * suffix[i + 1]
-    lhs = content_polynomial(mu) * prefix[n]
-    cofactor_sum = LaurentPolynomial()
-    for k in range(n):
-        cofactor_sum = cofactor_sum + prefix[k] * suffix[k + 1]
-    return lhs == hook_polynomial(mu) * cofactor_sum
+    own = hook_denominator(mu)
+    removed = [(hook_denominator(lam), cell.coleg) for lam, cell in removable_cells(mu)]
+    lcm = dict(own)
+    for exponents, _ in removed:
+        for d, e in exponents.items():
+            if e > lcm.get(d, 0):
+                lcm[d] = e
+    lhs_cofactor = {d: e - own.get(d, 0) for d, e in lcm.items()}
+    lhs_cofactor[1] += 1  # the factor q - 1 = Phi_1
+    lhs = content_polynomial(mu) * cyclotomic_product(lhs_cofactor)
+    rhs = LaurentPolynomial()
+    for exponents, coleg in removed:
+        cofactor = {d: e - exponents.get(d, 0) for d, e in lcm.items()}
+        rhs = rhs + monomial(1, s=-2 * coleg) * cyclotomic_product(cofactor)
+    return lhs == rhs
 
 
 def branching_sum(mu: Partition) -> RationalFunction:

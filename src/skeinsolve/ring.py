@@ -11,6 +11,7 @@ into a denominator is an error, not a silent extension of the ring.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd as _int_gcd
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
@@ -562,6 +563,32 @@ def exact_div_s(f: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomial
         lo, coeffs = _dense(piece)
         quotients.append((key, lo - shift, _list_exact_div(coeffs, dc)))
     return _from_slices(quotients)
+
+
+@cache
+def cyclotomic(d: int) -> LaurentPolynomial:
+    """The cyclotomic polynomial Phi_d(q), with q = s^2.
+
+    q^d - 1 is the product of Phi_e over the divisors e of d, so Phi_d is
+    q^d - 1 divided by Phi_e for every proper divisor e; each division is
+    exact or raises.
+    """
+    if d < 1:
+        raise ValueError("cyclotomic requires d >= 1")
+    out = LaurentPolynomial({Exponent(s=2 * d): 1, ZERO_EXP: -1})
+    for e in range(1, d // 2 + 1):
+        if d % e == 0:
+            out = exact_div_s(out, cyclotomic(e))
+    return out
+
+
+def cyclotomic_product(exponents: Mapping[int, int]) -> LaurentPolynomial:
+    """The product of Phi_d(q)^e over an exponent vector {d: e}."""
+    out = ONE
+    for d, e in sorted(exponents.items()):
+        for _ in range(e):
+            out = out * cyclotomic(d)
+    return out
 
 
 # ---------------------------------------------------------------------------

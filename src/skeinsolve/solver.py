@@ -23,6 +23,7 @@ from .partitions import (
     cells,
     content_polynomial,
     enumerate_partitions,
+    hook_denominator,
     removable_cells,
 )
 from .ring import (
@@ -35,9 +36,9 @@ from .ring import (
     S,
     SignedMonomial,
     ZERO,
+    cyclotomic_product,
     monomial,
     monomial_ratio,
-    quantum_bracket,
 )
 from .skein import (
     Generator,
@@ -138,11 +139,15 @@ def solve_recursion(geom: Geometry | GeometryTag | str, max_degree: int) -> Skei
 
 def _hook_content_product(p: Partition, numerator: Callable[[int], LaurentPolynomial],
                           gamma: int = 1) -> RationalFunction:
-    """g^{gamma |p|} * prod over cells of numerator(content) / {hook}."""
-    out = RationalFunction(monomial(1, g=gamma * p.size))
+    """g^{gamma |p|} * prod over cells of numerator(content) / {hook}.
+
+    {h} = s^{-h} (q^h - 1), so the product of the brackets is s^{-sum of
+    hooks} times the hook denominator H_p, and the fraction is reduced once.
+    """
+    top = monomial(1, s=sum(c.hook for c in cells(p)), g=gamma * p.size)
     for c in cells(p):
-        out = out * RationalFunction(numerator(c.content), quantum_bracket(c.hook))
-    return out
+        top = top * numerator(c.content)
+    return RationalFunction(top, cyclotomic_product(hook_denominator(p)))
 
 
 def _a_bracket(c: int) -> LaurentPolynomial:
@@ -279,14 +284,19 @@ def solve_monomial_coefficients(
     of s.  Unknowns entering neither equation are enumerated.  The result is
     therefore exactly what an exhaustive search over all bounded assignments
     finds, each assignment once, in a fixed order.  Raises NoSolutionError
-    if it is empty, and ValueError if an unknown is the unknot or repeated.
+    if it is empty, and ValueError if an unknown or a fixed coefficient is
+    the unknot, an unknown is repeated or a generator is both fixed and
+    unknown.
     """
     unknowns = template.unknowns
-    for gen in unknowns:
+    fixed = [gen for gen, _ in template.fixed]
+    for gen in (*unknowns, *fixed):
         if gen in (Generator.UNKNOT, Generator.IDENTITY):
             raise ValueError("the unknot coefficient is pinned to 1 by rescaling")
     if len(set(unknowns)) != len(unknowns):
         raise ValueError("an unknown generator is listed twice")
+    if set(unknowns) & set(fixed):
+        raise ValueError("a generator is both fixed and unknown")
     phi = SkeinVector({EMPTY: template.psi_empty, BOX: template.psi_box}, 1)
     known_op = UNKNOT_OP + OperatorExpression(
         [(coeff, (gen,)) for gen, coeff in template.fixed])

@@ -84,15 +84,15 @@ def test_criterion_03_contents_and_hooks_of_642():
     _report(3, "content polynomial and hook multiset of (6,4,2)", started)
 
 
-def test_criterion_04_branching_rule_through_twelve():
+def test_criterion_04_branching_rule_through_fourteen():
     started = time.monotonic()
     checked = 0
-    for n in range(1, 13):
+    for n in range(1, 15):
         for mu in enumerate_partitions(n):
             assert verify_branching(mu), mu
             checked += 1
-    assert checked == 271
-    _report(4, f"weighted hook-length branching rule, {checked} partitions <= 12",
+    assert checked == 507
+    _report(4, f"weighted hook-length branching rule, {checked} partitions <= 14",
             started)
 
 

@@ -22,8 +22,9 @@ from skeinsolve import (
     removable_cells,
     verify_branching,
 )
-from skeinsolve.partitions import EMPTY, branching_sum
-from skeinsolve.ring import S
+import skeinsolve.partitions as partitions_mod
+from skeinsolve.partitions import EMPTY, branching_sum, hook_denominator
+from skeinsolve.ring import ONE, S, cyclotomic_product, exact_div_s
 
 from strategies import partitions
 
@@ -227,6 +228,30 @@ def test_content_polynomial_growth_by_one_box(n):
             assert diff == monomial(1, s=2 * cell.content)
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_hook_denominator_reproduces_the_hook_product(n):
+    for p in enumerate_partitions(n):
+        exponents = hook_denominator(p)
+        denominator = cyclotomic_product(exponents)
+        direct = ONE
+        for c in cells(p):
+            direct = direct * (S ** (2 * c.hook) - 1)
+        assert denominator == direct, p
+        assert exponents.get(1, 0) == p.size
+        # h_p = q^{sigma_p} H_p / (q - 1)^{|p|}, sigma_p = -(sum of legs)
+        sigma = -sum(c.leg for c in cells(p))
+        shifted = monomial(1, s=2 * sigma) * denominator
+        assert exact_div_s(shifted, (Q - 1) ** p.size) == hook_polynomial(p), p
+
+
+def test_hook_denominator_examples_and_read_only():
+    # hooks of (2,2) are 3, 2, 2, 1
+    assert dict(hook_denominator(Partition((2, 2)))) == {1: 4, 2: 2, 3: 1}
+    assert dict(hook_denominator(EMPTY)) == {}
+    with pytest.raises(TypeError):
+        hook_denominator(Partition((2, 2)))[1] = 0
+
+
 # ---------------------------------------------------------------------------
 # parity and branching
 # ---------------------------------------------------------------------------
@@ -265,9 +290,34 @@ def test_branching_exhaustive_small(n):
         assert verify_branching(mu)
 
 
+def test_branching_fails_when_a_cyclotomic_factor_is_dropped(monkeypatch):
+    # (2,2) is a removable lambda of (3,2) but not of (4,1); dropping its
+    # Phi_3 replaces 1/h_lambda by Phi_3/h_lambda in the rule
+    dropped = Partition((2, 2))
+    original = partitions_mod.hook_denominator
+
+    def without_phi3(p):
+        exponents = dict(original(p))
+        if p == dropped:
+            exponents[3] -= 1
+        return exponents
+
+    monkeypatch.setattr(partitions_mod, "hook_denominator", without_phi3)
+    assert not verify_branching(Partition((3, 2)))
+    assert verify_branching(Partition((4, 1)))
+
+
+def test_branching_does_not_expand_hook_polynomials(monkeypatch):
+    def refuse(p):
+        raise AssertionError("hook_polynomial called")
+
+    monkeypatch.setattr(partitions_mod, "hook_polynomial", refuse)
+    assert all(verify_branching(mu) for mu in enumerate_partitions(6))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_branching_agrees_with_rational_sum(n):
-    # the cross-multiplied check matches direct rational-function arithmetic
+    # the polynomial check matches direct rational-function arithmetic
     for mu in enumerate_partitions(n):
         direct = RationalFunction(content_polynomial(mu), hook_polynomial(mu))
         assert branching_sum(mu) == direct

@@ -27,6 +27,8 @@ from skeinsolve.ring import (
     SignedMonomial,
     _list_exact_div,
     _list_prem,
+    cyclotomic,
+    cyclotomic_product,
     exact_div_s,
     monomial_ratio,
 )
@@ -640,3 +642,30 @@ def test_evaluation():
     assert f.evaluate(s=2, a=3, aL=Fraction(1, 2)) == 4 + Fraction(3, 2) - 2
     x = RationalFunction(1, Z)
     assert x.evaluate(s=2) == Fraction(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic factors
+# ---------------------------------------------------------------------------
+
+
+def test_cyclotomic_factors_multiply_to_q_power_minus_one():
+    for n in range(1, 31):
+        product = ONE
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = product * cyclotomic(d)
+        assert product == Q ** n - 1, n
+
+
+def test_cyclotomic_examples():
+    assert cyclotomic(1) == Q - 1
+    assert cyclotomic(2) == Q + 1
+    assert cyclotomic(12) == Q ** 4 - Q ** 2 + 1
+    with pytest.raises(ValueError):
+        cyclotomic(0)
+
+
+def test_cyclotomic_product_of_powers():
+    assert cyclotomic_product({}) == ONE
+    assert cyclotomic_product({3: 2, 1: 1, 5: 0}) == (Q - 1) * (Q ** 2 + Q + 1) ** 2

@@ -293,6 +293,21 @@ def test_repeated_unknown_is_rejected():
             psi_box=RationalFunction(G, Z_BRACKET)))
 
 
+def test_generator_both_fixed_and_unknown_is_rejected():
+    # otherwise the fixed and the solved share of P10 would be added silently
+    with pytest.raises(ValueError, match="both fixed and unknown"):
+        solve_monomial_coefficients(
+            c3_template()._replace(fixed=((Generator.P10, monomial(-2)),)))
+
+
+@pytest.mark.parametrize("gen", (Generator.UNKNOT, Generator.IDENTITY))
+def test_fixed_coefficient_cannot_be_unknot(gen):
+    # the unknot coefficient is already 1; fixing it again would double it
+    with pytest.raises(ValueError, match="pinned to 1"):
+        solve_monomial_coefficients(
+            c3_template()._replace(fixed=((gen, monomial(1)),)))
+
+
 # An exhaustive reference: every bounded signed-monomial assignment is tried.
 # Each generator's image of phi is computed once; a candidate is screened by
 # its value at a fixed point mod a prime and confirmed by exact arithmetic.
