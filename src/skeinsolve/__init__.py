@@ -18,17 +18,14 @@ from .ring import (
     gcd_s,
     monomial,
     q_int,
-    quantum_bracket,
 )
 from .partitions import (
     BOX,
     Cell,
-    CellNotInPartitionError,
     EMPTY,
     EmptyPartitionError,
     Partition,
     addable_cells,
-    cell_at,
     cells,
     content_polynomial,
     enumerate_partitions,
@@ -37,7 +34,6 @@ from .partitions import (
     parity_sum,
     partition_sort_key,
     partitions_through,
-    q_hooklength,
     removable_cells,
     verify_branching,
 )
@@ -59,16 +55,12 @@ from .solver import (
     Geometry,
     GeometryTag,
     NoSolutionError,
-    UnknotBranch,
     c3_template,
     closed_form,
-    closed_form_c3,
-    closed_form_unknot,
     colored_unknot_invariant,
     geometry,
     solve_monomial_coefficients,
     solve_recursion,
-    swap_symmetry_check,
     unknot_template,
     verify_annihilation,
 )

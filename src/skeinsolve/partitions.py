@@ -1,10 +1,16 @@
-"""Young-diagram combinatorics: contents, hooks, hook polynomials, cyclotomic
-hook factors, branching.
+"""Young-diagram combinatorics: contents, hooks, cyclotomic hook factors,
+hook polynomials, branching.
 
 Diagrams use the English convention (rows left-justified, row 1 on top), so
 the content of the cell in row i, column j is j - i and the hook of a cell
 is the cell itself, its arm (cells to the right in the same row) and its leg
 (cells below in the same column).
+
+The product of (q^{hook} - 1) over the cells has one representation, the
+cyclotomic exponent vector of hook_denominator: the branching check, the
+closed forms and hook_polynomial all read it.  hook_polynomial_qpower_form
+builds the hook polynomial from quantum integers instead, as an independent
+check of that vector.
 """
 
 from __future__ import annotations
@@ -15,16 +21,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .ring import (
     LaurentPolynomial,
-    ONE,
     RationalFunction,
     cyclotomic_product,
     monomial,
     q_int,
 )
-
-
-class CellNotInPartitionError(ValueError):
-    """The addressed cell lies outside the Young diagram."""
 
 
 class EmptyPartitionError(ValueError):
@@ -84,9 +85,6 @@ class Partition:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
-
-    def contains(self, row: int, col: int) -> bool:
-        return 1 <= row <= len(self._parts) and 1 <= col <= self._parts[row - 1]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._parts)
@@ -156,12 +154,6 @@ def cells(p: Partition) -> tuple[Cell, ...]:
     )
 
 
-def cell_at(p: Partition, row: int, col: int) -> Cell:
-    if not p.contains(row, col):
-        raise CellNotInPartitionError(f"cell ({row},{col}) not in {p.parts}")
-    return _make_cell(p, p.conjugate(), row, col)
-
-
 @cache
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
@@ -203,26 +195,17 @@ def content_polynomial(p: Partition) -> LaurentPolynomial:
     return out
 
 
-def q_hooklength(p: Partition, cell: Cell) -> LaurentPolynomial:
-    """Sum of q^{relative content} over the hook of the cell.
-
-    Contents are measured relative to the corner cell, so the arm contributes
-    q, ..., q^{arm}, the leg q^{-1}, ..., q^{-leg}, and the cell itself 1.
-    Equals q^{-leg} [hook]_q and evaluates to the hook length at q = 1.
-    """
-    if not p.contains(cell.row, cell.col):
-        raise CellNotInPartitionError(f"cell ({cell.row},{cell.col}) not in {p.parts}")
-    return LaurentPolynomial(
-        {(2 * k, 0, 0, 0): 1 for k in range(-cell.leg, cell.arm + 1)}
-    )
-
-
 @cache
 def hook_polynomial(p: Partition) -> LaurentPolynomial:
-    """Product of the q-hooklengths over all cells (1 for the empty diagram)."""
-    return reduce(
-        lambda acc, c: acc * q_hooklength(p, c), cells(p), ONE
-    )
+    """h_p = prod over cells of q^{-leg} [hook]_q (1 for the empty diagram).
+
+    [h]_q = (q^h - 1)/(q - 1) is the product of Phi_d(q) over the divisors
+    d > 1 of h, so h_p is q^{-sum of legs} times the hook denominator with
+    its Phi_1 factors left out.
+    """
+    shift = -2 * sum(c.leg for c in cells(p))
+    return monomial(1, s=shift) * cyclotomic_product(
+        {d: e for d, e in hook_denominator(p).items() if d > 1})
 
 
 def hook_polynomial_qpower_form(p: Partition) -> LaurentPolynomial:

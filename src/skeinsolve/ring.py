@@ -346,13 +346,6 @@ def monomial(coeff: int, s: int = 0, a: int = 0, aL: int = 0, g: int = 0) -> Lau
     return LaurentPolynomial({Exponent(s, a, aL, g): coeff})
 
 
-def quantum_bracket(n: int) -> LaurentPolynomial:
-    """The bracket {n} = q^{n/2} - q^{-n/2} = s^n - s^{-n}."""
-    if n < 1:
-        raise ValueError("quantum_bracket requires n >= 1")
-    return LaurentPolynomial({Exponent(s=n): 1, Exponent(s=-n): -1})
-
-
 def q_int(n: int) -> LaurentPolynomial:
     """The quantum integer [n]_q = 1 + q + ... + q^{n-1}."""
     if n < 0:
@@ -620,15 +613,12 @@ class RationalFunction:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, numerator: RationalLike, denominator: RationalLike = 1):
-        if isinstance(numerator, RationalFunction) or isinstance(denominator, RationalFunction):
-            num_rf = _coerce_rf(numerator)
-            den_rf = _coerce_rf(denominator)
-            num = num_rf._num * den_rf._den
-            den = num_rf._den * den_rf._num
-        else:
-            num = LaurentPolynomial._coerce(numerator)
-            den = LaurentPolynomial._coerce(denominator)
+    def __init__(self, numerator: PolyLike, denominator: PolyLike = 1):
+        num = LaurentPolynomial._coerce(numerator)
+        den = LaurentPolynomial._coerce(denominator)
+        if num is NotImplemented or den is NotImplemented:
+            raise TypeError("numerator and denominator must be Laurent "
+                            "polynomials, signed monomials or ints")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
@@ -716,18 +706,6 @@ class RationalFunction:
 
     def __rtruediv__(self, other: RationalLike) -> "RationalFunction":
         return _coerce_rf(other) / self
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return RationalFunction(self._den, self._num) ** (-n)
-        result = RationalFunction(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, LaurentPolynomial, SignedMonomial)):

@@ -133,11 +133,6 @@ class SkeinVector:
             return SkeinVector.zero(self._max_degree)
         return SkeinVector({p: v * rf for p, v in self._coeffs.items()}, self._max_degree)
 
-    def __mul__(self, c: ScalarLike) -> "SkeinVector":
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SkeinVector):
             return NotImplemented
@@ -282,11 +277,6 @@ class OperatorExpression:
     def scale(self, c: object) -> "OperatorExpression":
         return OperatorExpression([(LaurentPolynomial._coerce(c) * coeff, w)
                                    for coeff, w in self._terms])
-
-    def __mul__(self, c: object) -> "OperatorExpression":
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     def compose(self, other: "OperatorExpression") -> "OperatorExpression":
         """self after other: (A.compose(B)).apply(v) == A.apply(B.apply(v))."""

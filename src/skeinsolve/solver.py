@@ -5,8 +5,9 @@ Each geometry fixes an operator A built from the torus-curve generators; the
 equation A(psi) = 0 with psi normalized to start at 1 determines psi
 uniquely, one degree at a time: the diagonal part P10 - unknot is invertible
 on every nonempty partition because its eigenvalue is a nonzero multiple of
-the content polynomial.  The closed forms are products over the cells of the
-indexing partition with quantum-bracket denominators.
+the content polynomial.  The closed forms are hook-content products over the
+cells of the indexing partition: one cell numerator per geometry over the
+common denominator prod {hook}, read from the cyclotomic hook vector.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ class GeometryTag(Enum):
     UNKNOT_PRIME = "unknot-prime"
 
 
-class UnknotBranch(Enum):
-    PLAIN = "plain"
-    PRIME = "prime"
-
-
 _OPERATORS = {
     GeometryTag.C3: UNKNOT_OP - P10_OP + P01_OP.scale(AL * G),
     GeometryTag.UNKNOT: (UNKNOT_OP - P10_OP
@@ -75,6 +71,19 @@ _OPERATORS = {
     GeometryTag.UNKNOT_PRIME: (UNKNOT_OP - P10_OP
                                - P01_OP.scale(G * AL * A ** -1)
                                + P11_OP.scale(G * A)),
+}
+
+
+def _a_bracket(c: int) -> LaurentPolynomial:
+    """a q^{c/2} - a^{-1} q^{-c/2}"""
+    return LaurentPolynomial({Exponent(s=c, a=1): 1, Exponent(s=-c, a=-1): -1})
+
+
+# The cell numerator of each geometry's closed form, a function of the content.
+_CELL_NUMERATORS: dict[GeometryTag, Callable[[int], LaurentPolynomial]] = {
+    GeometryTag.C3: lambda c: monomial(1, s=-c),
+    GeometryTag.UNKNOT: lambda c: _a_bracket(-c),
+    GeometryTag.UNKNOT_PRIME: _a_bracket,
 }
 
 
@@ -150,30 +159,6 @@ def _hook_content_product(p: Partition, numerator: Callable[[int], LaurentPolyno
     return RationalFunction(top, cyclotomic_product(hook_denominator(p)))
 
 
-def _a_bracket(c: int) -> LaurentPolynomial:
-    """a q^{c/2} - a^{-1} q^{-c/2}"""
-    return LaurentPolynomial({Exponent(s=c, a=1): 1, Exponent(s=-c, a=-1): -1})
-
-
-def closed_form_c3(p: Partition) -> RationalFunction:
-    """Hook-content product for the toric brane in C^3:
-
-        g^{|p|} * prod over cells of q^{-content/2} / {hook}
-    """
-    return _hook_content_product(p, lambda c: monomial(1, s=-c))
-
-
-def closed_form_unknot(p: Partition,
-                       branch: UnknotBranch = UnknotBranch.PLAIN) -> RationalFunction:
-    """Hook-content product for the unknot conormal, either branch:
-
-        PLAIN: g^{|p|} * prod (a q^{-c/2} - a^{-1} q^{c/2}) / {hook}
-        PRIME: g^{|p|} * prod (a q^{c/2} - a^{-1} q^{-c/2}) / {hook}
-    """
-    sign = -1 if branch is UnknotBranch.PLAIN else 1
-    return _hook_content_product(p, lambda c: _a_bracket(sign * c))
-
-
 def colored_unknot_invariant(p: Partition) -> RationalFunction:
     """Skein evaluation of the partition-cable of the standard unknot:
 
@@ -183,13 +168,16 @@ def colored_unknot_invariant(p: Partition) -> RationalFunction:
 
 
 def closed_form(tag: GeometryTag | str, p: Partition) -> RationalFunction:
+    """Hook-content product for the geometry's coefficient of p:
+
+        g^{|p|} * prod over cells of numerator(content) / {hook}
+
+    with the numerator q^{-c/2} for c3, a q^{-c/2} - a^{-1} q^{c/2} for the
+    unknot and a q^{c/2} - a^{-1} q^{-c/2} for the primed unknot.
+    """
     if isinstance(tag, str):
         tag = GeometryTag(tag)
-    if tag is GeometryTag.C3:
-        return closed_form_c3(p)
-    if tag is GeometryTag.UNKNOT:
-        return closed_form_unknot(p, UnknotBranch.PLAIN)
-    return closed_form_unknot(p, UnknotBranch.PRIME)
+    return _hook_content_product(p, _CELL_NUMERATORS[tag])
 
 
 def verify_annihilation(geom: Geometry | GeometryTag | str, psi: SkeinVector,
@@ -205,22 +193,9 @@ def verify_annihilation(geom: Geometry | GeometryTag | str, psi: SkeinVector,
 def swap_symmetry_sides(p: Partition) -> tuple[RationalFunction, RationalFunction]:
     """The plain unknot closed form of p under a -> a^{-1}, q^{1/2} -> -q^{1/2},
     and the primed closed form of p."""
-    plain = closed_form_unknot(p, UnknotBranch.PLAIN)
+    plain = closed_form(GeometryTag.UNKNOT, p)
     return (plain.substitute({"a": A ** -1, "s": -S}),
-            closed_form_unknot(p, UnknotBranch.PRIME))
-
-
-def swap_symmetry_holds(p: Partition) -> bool:
-    """True iff the swap carries the plain unknot closed form of p onto the
-    primed one, with no leftover sign."""
-    swapped, primed = swap_symmetry_sides(p)
-    return swapped == primed
-
-
-def swap_symmetry_check(max_degree: int) -> bool:
-    """swap_symmetry_holds for every partition through the given degree."""
-    return all(swap_symmetry_holds(p) for degree in range(max_degree + 1)
-               for p in enumerate_partitions(degree))
+            closed_form(GeometryTag.UNKNOT_PRIME, p))
 
 
 # ---------------------------------------------------------------------------

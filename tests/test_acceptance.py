@@ -16,12 +16,10 @@ from skeinsolve import (
     Q,
     RationalFunction,
     SkeinVector,
-    UnknotBranch,
     Z_BRACKET,
     c3_template,
     cells,
-    closed_form_c3,
-    closed_form_unknot,
+    closed_form,
     colored_unknot_invariant,
     content_polynomial,
     enumerate_partitions,
@@ -32,11 +30,11 @@ from skeinsolve import (
     partitions_through,
     solve_monomial_coefficients,
     solve_recursion,
-    swap_symmetry_check,
     unknot_template,
     verify_branching,
 )
 from skeinsolve.ring import Exponent, S, SignedMonomial
+from skeinsolve.verify import run_suite
 from skeinsolve.skein import P01_OP, P10_OP, P11_OP
 
 
@@ -54,7 +52,7 @@ def test_criterion_01_c3_recursion_equals_hook_content_form(solved):
     started = time.monotonic()
     checked = 0
     for p in partitions_through(8):
-        assert solved["c3"].coefficient(p) == closed_form_c3(p), p
+        assert solved["c3"].coefficient(p) == closed_form("c3", p), p
         checked += 1
     assert checked == 67
     _report(1, f"c3 solution matches hook-content form, {checked} partitions <= 8",
@@ -64,10 +62,9 @@ def test_criterion_01_c3_recursion_equals_hook_content_form(solved):
 def test_criterion_02_unknot_recursions_equal_hook_content_forms(solved):
     started = time.monotonic()
     checked = 0
-    for tag, branch in (("unknot", UnknotBranch.PLAIN),
-                        ("unknot-prime", UnknotBranch.PRIME)):
+    for tag in ("unknot", "unknot-prime"):
         for p in partitions_through(8):
-            assert solved[tag].coefficient(p) == closed_form_unknot(p, branch), (tag, p)
+            assert solved[tag].coefficient(p) == closed_form(tag, p), (tag, p)
             checked += 1
     _report(2, f"both unknot solutions match their products, {checked} checks",
             started)
@@ -146,7 +143,8 @@ def test_criterion_07_signed_monomial_coefficients():
 
 def test_criterion_08_orientation_swap_symmetry():
     started = time.monotonic()
-    assert swap_symmetry_check(8)
+    report = run_suite("symmetry", 8)
+    assert report.passed and report.checked == 67
     _report(8, "a -> a^{-1}, q^{1/2} -> -q^{1/2} swaps the two unknot forms <= 8",
             started)
 
@@ -158,7 +156,7 @@ def test_criterion_09_prime_form_equals_scaled_cable_invariant():
         for p in enumerate_partitions(n):
             scaled = RationalFunction(
                 monomial(1, g=p.size)) * colored_unknot_invariant(p)
-            assert closed_form_unknot(p, UnknotBranch.PRIME) == scaled, p
+            assert closed_form("unknot-prime", p) == scaled, p
             checked += 1
     _report(9, f"primed form = g^|p| * cable invariant, {checked} partitions <= 10",
             started)

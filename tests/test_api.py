@@ -1,0 +1,48 @@
+"""Every public module-level function and class in the package is used by the
+package itself: a name that only the exports or the tests reach is unused
+API."""
+
+import ast
+from pathlib import Path
+
+import skeinsolve
+
+PACKAGE = Path(skeinsolve.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _public_definitions(tree: ast.Module):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read as identifiers or attributes anywhere in tree, leaving out
+    the subtree skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_definition_is_used_inside_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    unused = []
+    for name, tree in trees.items():
+        others = set().union(*(_referenced_names(t) for n, t in trees.items()
+                               if n != name))
+        for node in _public_definitions(tree):
+            if (node.name not in others
+                    and node.name not in _referenced_names(tree, skip=node)):
+                unused.append(f"{name}:{node.name}")
+    assert unused == []

@@ -339,20 +339,19 @@ def test_verify_commutator_failure_reports_both_coefficients(capsys, monkeypatch
 
 def test_verify_symmetry_failure_reports_both_forms(capsys, monkeypatch):
     import skeinsolve.solver as solver_mod
-    from skeinsolve import Partition, RationalFunction
-    from skeinsolve.solver import UnknotBranch
+    from skeinsolve import GeometryTag, Partition, RationalFunction
 
     wrong = Partition([2, 1])
-    closed = solver_mod.closed_form_unknot
+    closed = solver_mod.closed_form
 
-    def perturbed(p, branch=UnknotBranch.PLAIN):
-        value = closed(p, branch)
-        if p == wrong and branch is UnknotBranch.PRIME:
+    def perturbed(tag, p):
+        value = closed(tag, p)
+        if p == wrong and tag is GeometryTag.UNKNOT_PRIME:
             return value + RationalFunction(1, 3)
         return value
 
-    monkeypatch.setattr(solver_mod, "closed_form_unknot", perturbed)
-    primed = closed(wrong, UnknotBranch.PRIME)
+    monkeypatch.setattr(solver_mod, "closed_form", perturbed)
+    primed = closed(GeometryTag.UNKNOT_PRIME, wrong)
     assert _failing_report(capsys, "symmetry") == (
         f"first counterexample: partition=(2,1) swapped={primed} "
         f"primed={primed + RationalFunction(1, 3)}")

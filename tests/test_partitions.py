@@ -3,13 +3,11 @@ from hypothesis import given
 
 from skeinsolve import (
     Cell,
-    CellNotInPartitionError,
     EmptyPartitionError,
     Partition,
     Q,
     RationalFunction,
     addable_cells,
-    cell_at,
     cells,
     content_polynomial,
     enumerate_partitions,
@@ -18,13 +16,13 @@ from skeinsolve import (
     monomial,
     parity_sum,
     partitions_through,
-    q_hooklength,
     removable_cells,
     verify_branching,
 )
 import skeinsolve.partitions as partitions_mod
 from skeinsolve.partitions import EMPTY, branching_sum, hook_denominator
 from skeinsolve.ring import ONE, S, cyclotomic_product, exact_div_s
+from skeinsolve.verify import run_suite
 
 from strategies import partitions
 
@@ -97,19 +95,15 @@ def test_cells_empty():
     assert cells(EMPTY) == ()
 
 
-def test_cell_at_validates():
-    with pytest.raises(CellNotInPartitionError):
-        cell_at(Partition((2, 1)), 2, 2)
-    c = cell_at(Partition((2, 1)), 1, 1)
-    assert (c.arm, c.leg, c.coarm, c.coleg) == (1, 1, 0, 0)
-    assert c.hook == 3 and c.content == 0
-
-
 def test_cell_is_an_immutable_value():
+    corner, right, below = cells(Partition((2, 1)))
+    assert (corner.arm, corner.leg, corner.coarm, corner.coleg) == (1, 1, 0, 0)
+    assert corner.hook == 3 and corner.content == 0
+    assert (right.row, right.col, right.hook, right.content) == (1, 2, 1, 1)
     c = Cell(row=2, col=1, arm=0, leg=0, coarm=0, coleg=1)
     assert (c.content, c.hook) == (-1, 1)
-    assert c == cell_at(Partition((2, 1)), 2, 1)
-    assert hash(c) == hash(cell_at(Partition((2, 1)), 2, 1))
+    assert c == below
+    assert hash(c) == hash(below)
     assert repr(c) == "Cell(row=2, col=1, arm=0, leg=0, coarm=0, coleg=1)"
     with pytest.raises(AttributeError):
         c.row = 1
@@ -131,24 +125,12 @@ def test_content_polynomial_at_one_is_size(p):
     assert content_polynomial(p).evaluate(s=1) == p.size
 
 
-def test_q_hooklength_examples():
-    row2 = Partition((2,))
-    assert q_hooklength(row2, cell_at(row2, 1, 1)) == 1 + Q
-    assert q_hooklength(row2, cell_at(row2, 1, 2)) == monomial(1)
-    col2 = Partition((1, 1))
-    assert q_hooklength(col2, cell_at(col2, 1, 1)) == 1 + Q ** -1
-
-
-def test_q_hooklength_rejects_foreign_cell():
-    foreign = cell_at(Partition((3,)), 1, 3)
-    with pytest.raises(CellNotInPartitionError):
-        q_hooklength(Partition((2,)), foreign)
-
-
-@given(partitions(max_n=8))
-def test_q_hooklength_at_one_is_hook(p):
-    for c in cells(p):
-        assert q_hooklength(p, c).evaluate(s=1) == c.hook
+def test_hook_polynomial_at_one_is_hook_product():
+    for p in partitions_through(7):
+        product = 1
+        for c in cells(p):
+            product *= c.hook
+        assert hook_polynomial(p).evaluate(s=1) == product, p
 
 
 def test_hook_polynomial_examples():
@@ -241,7 +223,8 @@ def test_hook_denominator_reproduces_the_hook_product(n):
         # h_p = q^{sigma_p} H_p / (q - 1)^{|p|}, sigma_p = -(sum of legs)
         sigma = -sum(c.leg for c in cells(p))
         shifted = monomial(1, s=2 * sigma) * denominator
-        assert exact_div_s(shifted, (Q - 1) ** p.size) == hook_polynomial(p), p
+        assert (exact_div_s(shifted, (Q - 1) ** p.size)
+                == hook_polynomial_qpower_form(p)), p
 
 
 def test_hook_denominator_examples_and_read_only():
@@ -250,6 +233,32 @@ def test_hook_denominator_examples_and_read_only():
     assert dict(hook_denominator(EMPTY)) == {}
     with pytest.raises(TypeError):
         hook_denominator(Partition((2, 2)))[1] = 0
+
+
+def test_hookforms_fails_when_a_cyclotomic_factor_is_dropped(monkeypatch):
+    # hook_polynomial is read from hook_denominator, so the hookforms suite
+    # checks the vector that the closed forms and the branching rule divide
+    # by; the hooks of (3,2) are 4, 3, 1, 2, 1
+    dropped = Partition((3, 2))
+    original = partitions_mod.hook_denominator
+
+    def without_phi3(p):
+        exponents = dict(original(p))
+        if p == dropped:
+            exponents[3] -= 1
+        return exponents
+
+    original.cache_clear()
+    hook_polynomial.cache_clear()
+    monkeypatch.setattr(partitions_mod, "hook_denominator", without_phi3)
+    try:
+        report = run_suite("hookforms", 6)
+    finally:
+        original.cache_clear()
+        hook_polynomial.cache_clear()
+    assert not report.passed
+    assert report.first_counterexample.startswith(
+        "double formula, partition=(3,2) ")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from skeinsolve import (
     gcd_s,
     monomial,
     q_int,
-    quantum_bracket,
 )
 from skeinsolve.ring import (
     Exponent,
@@ -409,6 +408,14 @@ def test_rf_division_by_zero():
         RationalFunction(1) / RationalFunction(0)
 
 
+@pytest.mark.parametrize("args", [(1.5,), ("x",), (1, None),
+                                  (RationalFunction(S),), (1, RationalFunction(S))],
+                         ids=["float", "str", "none", "rf-numerator", "rf-denominator"])
+def test_rf_rejects_arguments_that_are_not_polynomials(args):
+    with pytest.raises(TypeError):
+        RationalFunction(*args)
+
+
 def test_rf_denominator_must_be_s_univariate():
     with pytest.raises(DenominatorNotSUnivariateError):
         RationalFunction(1, A - A ** -1)
@@ -595,32 +602,14 @@ def test_substitute_is_ring_homomorphism(f, g):
 
 
 # ---------------------------------------------------------------------------
-# quantum brackets
+# quantum integers
 # ---------------------------------------------------------------------------
 
 
-def test_quantum_bracket_small():
-    assert quantum_bracket(1) == S - S ** -1
-    assert quantum_bracket(2) == Q - Q ** -1
-
-
-def test_quantum_bracket_three_factors():
-    assert quantum_bracket(3) == (S - S ** -1) * (Q + 1 + Q ** -1)
-
-
-def test_quantum_bracket_requires_positive():
-    with pytest.raises(ValueError):
-        quantum_bracket(0)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_quantum_bracket_numeric_spot_check(n):
-    assert quantum_bracket(n).evaluate(s=2) == Fraction(2) ** n - Fraction(2) ** -n
-
-
 def test_q_int_matches_bracket_ratio():
+    # {n} = q^{n/2} - q^{-n/2} = {1} [n]_q q^{-(n-1)/2}
     for n in range(1, 7):
-        assert quantum_bracket(n) == Z * q_int(n) * monomial(1, s=-(n - 1))
+        assert S ** n - S ** -n == Z * q_int(n) * monomial(1, s=-(n - 1))
 
 
 # ---------------------------------------------------------------------------

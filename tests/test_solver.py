@@ -17,12 +17,9 @@ from skeinsolve import (
     RationalFunction,
     S,
     SkeinVector,
-    UnknotBranch,
     Z_BRACKET,
     c3_template,
     closed_form,
-    closed_form_c3,
-    closed_form_unknot,
     colored_unknot_invariant,
     content_polynomial,
     enumerate_partitions,
@@ -31,13 +28,13 @@ from skeinsolve import (
     partitions_through,
     solve_monomial_coefficients,
     solve_recursion,
-    swap_symmetry_check,
     unknot_template,
     verify_annihilation,
 )
 from skeinsolve.partitions import BOX, EMPTY
 from skeinsolve.ring import Exponent, SignedMonomial
 from skeinsolve.skein import P01_OP, P10_OP, P11_OP, UNKNOT_OP
+from skeinsolve.verify import run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -76,22 +73,22 @@ def test_recursion_matches_closed_form_through_five(tag):
 
 
 def test_closed_form_c3_examples():
-    assert closed_form_c3(EMPTY) == RationalFunction(1)
-    assert closed_form_c3(BOX) == RationalFunction(G, Z_BRACKET)
+    assert closed_form("c3", EMPTY) == RationalFunction(1)
+    assert closed_form("c3", BOX) == RationalFunction(G, Z_BRACKET)
     # cells of (2): (content, hook) = (0,2), (1,1)
     expected = RationalFunction(
         monomial(1, s=-1, g=2), (Q - Q ** -1) * Z_BRACKET)
-    assert closed_form_c3(Partition((2,))) == expected
+    assert closed_form(GeometryTag.C3, Partition((2,))) == expected
 
 
 def test_closed_form_unknot_examples():
-    assert closed_form_unknot(EMPTY, UnknotBranch.PLAIN) == RationalFunction(1)
-    assert closed_form_unknot(BOX, UnknotBranch.PLAIN) == RationalFunction(
+    assert closed_form("unknot", EMPTY) == RationalFunction(1)
+    assert closed_form("unknot", BOX) == RationalFunction(
         G * (A - A ** -1), Z_BRACKET)
     expected = RationalFunction(
         monomial(1, g=2) * (A - A ** -1) * (A * S ** -1 - A ** -1 * S),
         (Q - Q ** -1) * Z_BRACKET)
-    assert closed_form_unknot(Partition((2,)), UnknotBranch.PLAIN) == expected
+    assert closed_form(GeometryTag.UNKNOT, Partition((2,))) == expected
 
 
 def test_colored_unknot_invariant_examples():
@@ -107,7 +104,7 @@ def test_colored_unknot_invariant_examples():
 @pytest.mark.parametrize("n", range(7))
 def test_prime_form_is_scaled_invariant(n):
     for p in enumerate_partitions(n):
-        assert closed_form_unknot(p, UnknotBranch.PRIME) == RationalFunction(
+        assert closed_form("unknot-prime", p) == RationalFunction(
             monomial(1, g=p.size)) * colored_unknot_invariant(p)
 
 
@@ -145,9 +142,9 @@ def test_branching_linkage_for_c3_form(n):
     from skeinsolve.partitions import removable_cells
 
     for mu in enumerate_partitions(n):
-        lhs = (RationalFunction(content_polynomial(mu)) * closed_form_c3(mu)
+        lhs = (RationalFunction(content_polynomial(mu)) * closed_form("c3", mu)
                * RationalFunction(Z_BRACKET, G))
-        rhs = sum((closed_form_c3(lam) for lam, _ in removable_cells(mu)),
+        rhs = sum((closed_form("c3", lam) for lam, _ in removable_cells(mu)),
                   RationalFunction(0))
         assert lhs == rhs, mu
 
@@ -201,12 +198,12 @@ def test_unknot_scalar_insensitivity():
 
 
 def test_swap_symmetry_trivial_degrees():
-    assert swap_symmetry_check(0)
-    assert swap_symmetry_check(1)
+    assert run_suite("symmetry", 0).passed
+    assert run_suite("symmetry", 1).passed
 
 
 def test_swap_symmetry_moderate():
-    assert swap_symmetry_check(5)
+    assert run_suite("symmetry", 5).passed
 
 
 # ---------------------------------------------------------------------------
