@@ -6,15 +6,16 @@ equation A(psi) = 0 with psi normalized to start at 1 determines psi
 uniquely, one degree at a time: the diagonal part P10 - unknot is invertible
 on every nonempty partition because its eigenvalue is a nonzero multiple of
 the content polynomial.  The closed forms are hook-content products over the
-cells of the indexing partition: one cell numerator per geometry over the
-common denominator prod {hook}, read from the cyclotomic hook vector.
+cells of the indexing partition, read off the operator: each cell contributes
+the operator's raising weight over {hook}, and the common denominator
+prod {hook} comes from the cyclotomic hook vector.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from itertools import product as _cartesian
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .partitions import (
     BOX,
@@ -71,19 +72,6 @@ _OPERATORS = {
     GeometryTag.UNKNOT_PRIME: (UNKNOT_OP - P10_OP
                                - P01_OP.scale(G * AL * A ** -1)
                                + P11_OP.scale(G * A)),
-}
-
-
-def _a_bracket(c: int) -> LaurentPolynomial:
-    """a q^{c/2} - a^{-1} q^{-c/2}"""
-    return LaurentPolynomial({Exponent(s=c, a=1): 1, Exponent(s=-c, a=-1): -1})
-
-
-# The cell numerator of each geometry's closed form, a function of the content.
-_CELL_NUMERATORS: dict[GeometryTag, Callable[[int], LaurentPolynomial]] = {
-    GeometryTag.C3: lambda c: monomial(1, s=-c),
-    GeometryTag.UNKNOT: lambda c: _a_bracket(-c),
-    GeometryTag.UNKNOT_PRIME: _a_bracket,
 }
 
 
@@ -146,38 +134,36 @@ def solve_recursion(geom: Geometry | GeometryTag | str, max_degree: int) -> Skei
     return SkeinVector(coeffs, max_degree)
 
 
-def _hook_content_product(p: Partition, numerator: Callable[[int], LaurentPolynomial],
-                          gamma: int = 1) -> RationalFunction:
-    """g^{gamma |p|} * prod over cells of numerator(content) / {hook}.
+def closed_form(geom: Geometry | GeometryTag | str, p: Partition) -> RationalFunction:
+    """Hook-content product for the geometry's coefficient of p, read off
+    the operator:
 
-    {h} = s^{-h} (q^h - 1), so the product of the brackets is s^{-sum of
-    hooks} times the hook denominator H_p, and the fraction is reduced once.
+        prod over cells of raising_weight(cell) aL^{-1} q^{-c/2} / {hook}
+
+    It solves the recursion of solve_recursion: adding a box to lambda
+    multiplies the product over lambda's cells by that box's weight, and the
+    branching rule sums the remaining factors over the removable boxes.
+    For the presets the cell factor is g q^{-c/2} (c3),
+    g (a q^{-c/2} - a^{-1} q^{c/2}) (unknot) and g (a q^{c/2} - a^{-1} q^{-c/2})
+    (unknot-prime).  {h} = s^{-h} (q^h - 1), so the product of the brackets
+    is s^{-sum of hooks} times the hook denominator H_p, and the fraction is
+    reduced once.
     """
-    top = monomial(1, s=sum(c.hook for c in cells(p)), g=gamma * p.size)
+    if not isinstance(geom, Geometry):
+        geom = geometry(geom)
+    top = monomial(1, s=sum(c.hook - c.content for c in cells(p)), aL=-p.size)
     for c in cells(p):
-        top = top * numerator(c.content)
+        top = top * geom.raising_weight(c)
     return RationalFunction(top, cyclotomic_product(hook_denominator(p)))
 
 
 def colored_unknot_invariant(p: Partition) -> RationalFunction:
-    """Skein evaluation of the partition-cable of the standard unknot:
+    """Skein evaluation of the partition-cable of the standard unknot, the
+    primed unknot's closed form at g = 1:
 
         prod over cells of (a q^{c/2} - a^{-1} q^{-c/2}) / {hook}
     """
-    return _hook_content_product(p, _a_bracket, gamma=0)
-
-
-def closed_form(tag: GeometryTag | str, p: Partition) -> RationalFunction:
-    """Hook-content product for the geometry's coefficient of p:
-
-        g^{|p|} * prod over cells of numerator(content) / {hook}
-
-    with the numerator q^{-c/2} for c3, a q^{-c/2} - a^{-1} q^{c/2} for the
-    unknot and a q^{c/2} - a^{-1} q^{-c/2} for the primed unknot.
-    """
-    if isinstance(tag, str):
-        tag = GeometryTag(tag)
-    return _hook_content_product(p, _CELL_NUMERATORS[tag])
+    return closed_form(GeometryTag.UNKNOT_PRIME, p).substitute({"g": 1})
 
 
 def verify_annihilation(geom: Geometry | GeometryTag | str, psi: SkeinVector,

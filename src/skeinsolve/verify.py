@@ -98,9 +98,10 @@ def run_suite(name: str, max_degree: int | None = None) -> SuiteReport:
 
 def _run_recursion(report: SuiteReport, n: int) -> None:
     for tag in GeometryTag:
-        psi = solve_recursion(tag, n)
+        geom = geometry(tag)
+        psi = solve_recursion(geom, n)
         for p in partitions_through(n):
-            expected = closed_form(tag, p)
+            expected = closed_form(geom, p)
             solved = psi.coefficient(p)
             report.record(
                 solved == expected,

@@ -465,6 +465,45 @@ def test_psi_records_golden_bytes(capsys, geom):
     assert digest == GOLDEN_PSI_RECORDS_SHA256[geom]
 
 
+# sha256 of the stdout of `closed-form --geometry G` and of `invariant`, run
+# once per partition through degree 8 in output order and concatenated, as
+# produced when each geometry's cell numerator was written out by hand; the
+# forms read off the operator must keep these bytes.
+GOLDEN_CLOSED_FORM_SHA256 = {
+    ("c3", "text"):
+        "96ffe921b13cb28005bf672a104b7c0f123100a697e0e7ed81c84401a5f9a453",
+    ("c3", "records"):
+        "f18488a623494475c85e7932b5f8fc50b975ec4df72bf5a05eb1ce9a0018c3ce",
+    ("unknot", "text"):
+        "704e1cf7c195fa7383638a270a5bfd13894121021ed88381c5e5b5e09a7edb66",
+    ("unknot", "records"):
+        "97fa33cd632efa4ead7dd0ae75740205b87dd3de7164576cd571936f5dc0c50f",
+    ("unknot-prime", "text"):
+        "204f76d9b6fc4c7bc1d832fb3142d73941bed602ee7aecff2ae87f4129722092",
+    ("unknot-prime", "records"):
+        "f4be60698295b193184bb3926ad5e395beda5ccfb11490a38344426109525d4d",
+    ("invariant", "text"):
+        "fb3944a34f84cf7fe792b268774153060299ddf2a8c164adab013b6fd0606ffe",
+    ("invariant", "records"):
+        "e75ff332be5f3f49bca8e31abbc0765d8e30b3d5eebb3ce51adaeaba7faa1991",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN_CLOSED_FORM_SHA256))
+def test_closed_form_golden_bytes(capsys, command, fmt):
+    from skeinsolve.partitions import partitions_through
+
+    argv = (["invariant"] if command == "invariant"
+            else ["closed-form", "--geometry", command])
+    digest = hashlib.sha256()
+    for p in partitions_through(8):
+        code, out, err = run_cli(capsys, *argv, "--partition", str(p),
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_CLOSED_FORM_SHA256[command, fmt]
+
+
 # ---------------------------------------------------------------------------
 # a reader that stops early
 # ---------------------------------------------------------------------------

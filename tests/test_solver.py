@@ -67,6 +67,17 @@ def test_recursion_matches_closed_form_through_five(tag):
         assert psi.coefficient(p) == closed_form(tag, p), p
 
 
+def test_closed_form_of_an_operator_that_is_not_a_preset():
+    # closed_form reads its cell factor off any operator of the shape
+    # O - P10 + x P01 + y P11, not only off the three presets
+    x, y = S ** 2 - 1 + A, 2 * G - S ** -3
+    geom = Geometry(GeometryTag.C3, UNKNOT_OP - P10_OP + P01_OP.scale(x)
+                    + P11_OP.scale(y))
+    psi = solve_recursion(geom, 6)
+    for p in partitions_through(6):
+        assert closed_form(geom, p) == psi.coefficient(p), p
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Differential tests against sympy, an implementation that shares no code
 with skeinsolve.ring.  gcd_s is checked against the gcd of sympy's sparse
 polynomial ring; the constructor, +, * and / against sympy's rational
-function field, which keeps every element cancelled.  Skipped when sympy is
-not installed; sympy is never a runtime dependency."""
+function field, which keeps every element cancelled.  The solved
+coefficients, the closed forms and the cable invariant are checked against
+the paper's hook-content products, built in that field from a table that
+does not read the operators.  Skipped when sympy is not installed; sympy is
+never a runtime dependency."""
 
 import pytest
 
@@ -10,7 +13,19 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings  # noqa: E402
 
-from skeinsolve import RationalFunction, gcd_s, monomial, solve_recursion  # noqa: E402
+from skeinsolve import (  # noqa: E402
+    Generator,
+    Geometry,
+    GeometryTag,
+    OperatorExpression,
+    RationalFunction,
+    closed_form,
+    colored_unknot_invariant,
+    gcd_s,
+    geometry,
+    monomial,
+    solve_recursion,
+)
 from skeinsolve.partitions import partitions_through  # noqa: E402
 
 from strategies import exponents, laurent_polynomials, rational_functions  # noqa: E402
@@ -20,9 +35,14 @@ S_RING, s_poly = sympy.ring("s", sympy.ZZ)
 
 
 def _frac(poly):
-    """A Laurent polynomial as an element of sympy's field."""
-    return sum((c * s ** e.s * a ** e.a * aL ** e.aL * g ** e.g
-                for e, c in poly.terms.items()), FIELD.zero)
+    """A Laurent polynomial as an element of sympy's field: a polynomial in
+    nonnegative exponents over the monomial that shifts them back."""
+    if not poly.terms:
+        return FIELD.zero
+    lo = [min(e[i] for e in poly.terms) for i in range(4)]
+    shifted = FIELD.ring.from_dict(
+        {tuple(x - m for x, m in zip(e, lo)): c for e, c in poly.terms.items()})
+    return FIELD(shifted) * s ** lo[0] * a ** lo[1] * aL ** lo[2] * g ** lo[3]
 
 
 def _rf_frac(x):
@@ -130,11 +150,43 @@ _CELL_NUMERATOR = {
 }
 
 
-@pytest.mark.parametrize("geom", sorted(_CELL_NUMERATOR))
-def test_recursion_matches_sympy_hook_content_product(geom):
-    psi = solve_recursion(geom, 6)
-    for p in partitions_through(6):
-        want = g ** p.size
+def _assert_hook_content_product(geom, n, *values, gamma=g):
+    """Each of values maps every partition p through degree n to gamma^{|p|}
+    prod over cells of _CELL_NUMERATOR[geom](content) / {hook}, reduced."""
+    for p in partitions_through(n):
+        want = gamma ** p.size
         for content, hook in _cells(list(p.parts)):
             want *= _CELL_NUMERATOR[geom](content) / (s ** hook - s ** -hook)
-        _assert_reduced_value(psi.coefficient(p), want)
+        for value in values:
+            _assert_reduced_value(value(p), want)
+
+
+@pytest.mark.parametrize("geom", sorted(_CELL_NUMERATOR))
+def test_recursion_matches_sympy_hook_content_product(geom):
+    # closed_form and the recursion both come from the operator; the table
+    # above is the paper's formulas, written out without it
+    psi = solve_recursion(geom, 8)
+    _assert_hook_content_product(
+        geom, 8, psi.coefficient, lambda p: closed_form(geom, p))
+    if geom == "unknot-prime":
+        _assert_hook_content_product(geom, 8, colored_unknot_invariant,
+                                     gamma=FIELD.one)
+
+
+def _sign_flips():
+    """Each preset with one P01 or P11 coefficient of its operator negated."""
+    for tag in GeometryTag:
+        terms = geometry(tag).operator.terms
+        for i, (_, word) in enumerate(terms):
+            if word in ((Generator.P01,), (Generator.P11,)):
+                flipped = [(-coeff if j == i else coeff, w)
+                           for j, (coeff, w) in enumerate(terms)]
+                yield pytest.param(tag.value, OperatorExpression(flipped),
+                                   id=f"{tag.value}-{word[0].value}")
+
+
+@pytest.mark.parametrize("geom,operator", _sign_flips())
+def test_sympy_hook_content_product_rejects_a_sign_flip(geom, operator):
+    psi = solve_recursion(Geometry(GeometryTag(geom), operator), 3)
+    with pytest.raises(AssertionError):
+        _assert_hook_content_product(geom, 3, psi.coefficient)
