@@ -48,7 +48,6 @@ from .skein import (
     apply_p10,
     apply_p11,
     apply_unknot,
-    p10_eigenvalue,
 )
 from .solver import (
     CoefficientTemplate,

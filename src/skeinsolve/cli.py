@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cache import ResultCache
 from .partitions import (
@@ -22,7 +22,6 @@ from .partitions import (
 )
 from .serialize import (
     SCHEMA_VERSION,
-    dump_line,
     dumps_records,
     loads_records,
     poly_records,
@@ -114,40 +113,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(fmt: str, header: dict, rows: Iterable[dict], lines: Iterable[str]) -> None:
+    """Write the header, stamped with the schema, and the rows as records, or
+    print the text lines; only the one the format asks for is consumed."""
+    if fmt == "records":
+        sys.stdout.write(dumps_records([{**header, "schema": SCHEMA_VERSION}, *rows]))
+    else:
+        for line in lines:
+            print(line)
+
+
 def _cmd_partitions(args) -> int:
     if args.n < 0:
         print("n must be nonnegative", file=sys.stderr)
         return 2
     parts = enumerate_partitions(args.n)
-    if args.format == "records":
-        header = {"kind": "partition-list", "schema": SCHEMA_VERSION, "n": args.n,
-                  "count": len(parts)}
-        rows = [{"partition": str(p)} for p in parts]
-        sys.stdout.write(dumps_records([header] + rows))
-    else:
-        for p in parts:
-            print(_display(p))
+    _emit(args.format,
+          {"kind": "partition-list", "n": args.n, "count": len(parts)},
+          ({"partition": str(p)} for p in parts),
+          (_display(p) for p in parts))
     return 0
 
 
-def _print_poly(poly, kind: str, partition: Partition, fmt: str) -> None:
-    if fmt == "records":
-        header = {"kind": kind, "schema": SCHEMA_VERSION,
-                  "partition": str(partition)}
-        sys.stdout.write(dumps_records([header, {"terms": poly_records(poly)}]))
-    else:
-        print(poly)
-
-
 def _cmd_content_poly(args) -> int:
-    _print_poly(content_polynomial(args.partition), "content-polynomial",
-                args.partition, args.format)
+    poly = content_polynomial(args.partition)
+    _emit(args.format, {"kind": "content-polynomial", "partition": str(args.partition)},
+          [{"terms": poly_records(poly)}], [poly])
     return 0
 
 
 def _cmd_hook_poly(args) -> int:
-    _print_poly(hook_polynomial(args.partition), "hook-polynomial",
-                args.partition, args.format)
+    poly = hook_polynomial(args.partition)
+    _emit(args.format, {"kind": "hook-polynomial", "partition": str(args.partition)},
+          [{"terms": poly_records(poly)}], [poly])
     return 0
 
 
@@ -184,23 +182,16 @@ def _cmd_psi(args) -> int:
 
 def _cmd_closed_form(args) -> int:
     value = closed_form(args.geometry, args.partition)
-    if args.format == "records":
-        header = {"kind": "closed-form", "schema": SCHEMA_VERSION,
-                  "geometry": args.geometry, "partition": str(args.partition)}
-        sys.stdout.write(dumps_records([header, rf_record(value)]))
-    else:
-        print(f"{_display(args.partition)}: {value}")
+    _emit(args.format, {"kind": "closed-form", "geometry": args.geometry,
+                        "partition": str(args.partition)},
+          [rf_record(value)], [f"{_display(args.partition)}: {value}"])
     return 0
 
 
 def _cmd_invariant(args) -> int:
     value = colored_unknot_invariant(args.partition)
-    if args.format == "records":
-        header = {"kind": "unknot-invariant", "schema": SCHEMA_VERSION,
-                  "partition": str(args.partition)}
-        sys.stdout.write(dumps_records([header, rf_record(value)]))
-    else:
-        print(f"{_display(args.partition)}: {value}")
+    _emit(args.format, {"kind": "unknot-invariant", "partition": str(args.partition)},
+          [rf_record(value)], [f"{_display(args.partition)}: {value}"])
     return 0
 
 
@@ -221,20 +212,14 @@ def _cmd_solve_coefficients(args) -> int:
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1
-    if args.format == "records":
-        header = {"kind": "coefficient-solutions", "schema": SCHEMA_VERSION,
-                  "geometry": args.geometry, "count": len(solutions)}
-        sys.stdout.write(dump_line(header) + "\n")
-        for sol in solutions:
-            row = {gen.value: poly_records(sm.to_polynomial())
-                   for gen, sm in sorted(sol.items(), key=lambda kv: kv[0].value)}
-            sys.stdout.write(dump_line(row) + "\n")
-    else:
-        for i, sol in enumerate(solutions, start=1):
-            rendered = ", ".join(
-                f"{gen.value} = {sm}" for gen, sm in
-                sorted(sol.items(), key=lambda kv: kv[0].value))
-            print(f"solution {i}: {rendered}")
+    ordered = [sorted(sol.items(), key=lambda kv: kv[0].value) for sol in solutions]
+    _emit(args.format,
+          {"kind": "coefficient-solutions", "geometry": args.geometry,
+           "count": len(solutions)},
+          ({gen.value: poly_records(sm.to_polynomial()) for gen, sm in sol}
+           for sol in ordered),
+          (f"solution {i}: " + ", ".join(f"{gen.value} = {sm}" for gen, sm in sol)
+           for i, sol in enumerate(ordered, start=1)))
     return 0
 
 

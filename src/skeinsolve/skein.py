@@ -5,13 +5,16 @@ A SkeinVector is a finite map from partitions to rational-function
 coefficients, truncated at a fixed degree; the generators act by
 
     unknot:  scalar multiplication by (aL - aL^{-1}) / (q^{1/2} - q^{-1/2})
-    P10:     diagonal, eigenvalue unknot + aL (q^{1/2} - q^{-1/2}) c_mu(q)
-    P01:     mu -> sum over ways of adding one box
-    P11:     mu -> aL * sum over added boxes, weighted by q^{content}
+    P10:     diagonal, eigenvalue unknot + diagonal_part(mu), where
+             diagonal_part(mu) = aL (q^{1/2} - q^{-1/2}) c_mu(q)
+    P01:     mu -> sum over added boxes, each of box_weight 1
+    P11:     mu -> sum over added boxes, each of box_weight aL q^{content}
 
-P11's per-box form is the closed expression for
-(q^{1/2} - q^{-1/2})^{-1} [P10, P01]; the raw commutator is kept available
-through OperatorExpression composition as an independent cross-check.
+This module is the one place those actions are written down: the solver
+reads the diagonal part and the box weights from here.  P11's per-box form
+is the closed expression for (q^{1/2} - q^{-1/2})^{-1} [P10, P01]; the raw
+commutator is kept available through OperatorExpression composition as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Union
 
 from .partitions import (
+    Cell,
     Partition,
     addable_cells,
     content_polynomial,
@@ -28,6 +32,7 @@ from .partitions import (
 from .ring import (
     AL,
     LaurentPolynomial,
+    ONE,
     RationalFunction,
     S,
     SignedMonomial,
@@ -45,8 +50,7 @@ class Generator(Enum):
 
 Z_BRACKET = S - S ** -1
 
-#: Standard framed-unknot scalar; any nonzero value may be passed instead to
-#: confirm that solver output does not depend on it.
+#: Standard framed-unknot scalar.
 UNKNOT_VALUE = RationalFunction(AL - AL ** -1, Z_BRACKET)
 
 ScalarLike = Union[RationalFunction, LaurentPolynomial, SignedMonomial, int]
@@ -151,39 +155,44 @@ class SkeinVector:
         return f"SkeinVector({str(self)!r}, max_degree={self._max_degree})"
 
 
-def p10_eigenvalue(p: Partition,
-                   unknot_value: RationalFunction | None = None) -> RationalFunction:
-    """Eigenvalue of P10 on the basis vector of p."""
-    u = UNKNOT_VALUE if unknot_value is None else unknot_value
-    return u + RationalFunction(AL * Z_BRACKET * content_polynomial(p))
+def diagonal_part(p: Partition) -> LaurentPolynomial:
+    """P10 - unknot on the basis vector of p: aL (q^{1/2} - q^{-1/2}) c_p(q)."""
+    return AL * Z_BRACKET * content_polynomial(p)
 
 
-def apply_identity(v: SkeinVector,
-                   unknot_value: RationalFunction | None = None) -> SkeinVector:
+def box_weight(gen: Generator, cell: Cell) -> LaurentPolynomial:
+    """Coefficient a raising generator attaches to the box it adds: 1 for
+    P01 and aL q^{content} for P11.  ValueError for a generator that adds
+    no box."""
+    if gen is Generator.P01:
+        return ONE
+    if gen is Generator.P11:
+        return monomial(1, s=2 * cell.content, aL=1)
+    raise ValueError(f"{gen.value} adds no box")
+
+
+def apply_identity(v: SkeinVector) -> SkeinVector:
     return v
 
 
-def apply_unknot(v: SkeinVector,
-                 unknot_value: RationalFunction | None = None) -> SkeinVector:
-    u = UNKNOT_VALUE if unknot_value is None else unknot_value
-    return v.scale(u)
+def apply_unknot(v: SkeinVector) -> SkeinVector:
+    return v.scale(UNKNOT_VALUE)
 
 
-def apply_p10(v: SkeinVector,
-              unknot_value: RationalFunction | None = None) -> SkeinVector:
+def apply_p10(v: SkeinVector) -> SkeinVector:
     return SkeinVector(
-        {p: coeff * p10_eigenvalue(p, unknot_value) for p, coeff in v.items()},
+        {p: coeff * (UNKNOT_VALUE + diagonal_part(p)) for p, coeff in v.items()},
         v.max_degree,
     )
 
 
-def _apply_raising(v: SkeinVector, box_weight) -> SkeinVector:
+def _apply_raising(v: SkeinVector, gen: Generator) -> SkeinVector:
     out: dict[Partition, RationalFunction] = {}
     for p, coeff in v.items():
         if p.size + 1 > v.max_degree:
             continue  # truncated
         for mu, cell in addable_cells(p):
-            term = coeff * box_weight(cell)
+            term = coeff * box_weight(gen, cell)
             prev = out.get(mu)
             new = term if prev is None else prev + term
             if new.is_zero:
@@ -193,15 +202,12 @@ def _apply_raising(v: SkeinVector, box_weight) -> SkeinVector:
     return SkeinVector(out, v.max_degree)
 
 
-def apply_p01(v: SkeinVector,
-              unknot_value: RationalFunction | None = None) -> SkeinVector:
-    return _apply_raising(v, lambda cell: RationalFunction(1))
+def apply_p01(v: SkeinVector) -> SkeinVector:
+    return _apply_raising(v, Generator.P01)
 
 
-def apply_p11(v: SkeinVector,
-              unknot_value: RationalFunction | None = None) -> SkeinVector:
-    return _apply_raising(
-        v, lambda cell: RationalFunction(monomial(1, s=2 * cell.content, aL=1)))
+def apply_p11(v: SkeinVector) -> SkeinVector:
+    return _apply_raising(v, Generator.P11)
 
 
 _APPLY = {
@@ -213,9 +219,8 @@ _APPLY = {
 }
 
 
-def apply_generator(gen: Generator, v: SkeinVector,
-                    unknot_value: RationalFunction | None = None) -> SkeinVector:
-    return _APPLY[gen](v, unknot_value)
+def apply_generator(gen: Generator, v: SkeinVector) -> SkeinVector:
+    return _APPLY[gen](v)
 
 
 class OperatorExpression:
@@ -290,15 +295,14 @@ class OperatorExpression:
     def commutator(a: "OperatorExpression", b: "OperatorExpression") -> "OperatorExpression":
         return a.compose(b) - b.compose(a)
 
-    def apply(self, v: SkeinVector,
-              unknot_value: RationalFunction | None = None) -> SkeinVector:
+    def apply(self, v: SkeinVector) -> SkeinVector:
         """Linear extension of the generator actions, with the same truncation
         degree as the input (raised terms beyond it are dropped)."""
         total = SkeinVector.zero(v.max_degree)
         for coeff, word in self._terms:
             cur = v
             for gen in reversed(word):
-                cur = apply_generator(gen, cur, unknot_value)
+                cur = apply_generator(gen, cur)
             total = total + cur.scale(coeff)
         return total
 

@@ -4,11 +4,11 @@ hook-content closed forms.
 Each geometry fixes an operator A built from the torus-curve generators; the
 equation A(psi) = 0 with psi normalized to start at 1 determines psi
 uniquely, one degree at a time: the diagonal part P10 - unknot is invertible
-on every nonempty partition because its eigenvalue is a nonzero multiple of
-the content polynomial.  The closed forms are hook-content products over the
-cells of the indexing partition, read off the operator: each cell contributes
-the operator's raising weight over {hook}, and the common denominator
-prod {hook} comes from the cyclotomic hook vector.
+on every nonempty partition because skein's diagonal_part is a nonzero
+multiple of the content polynomial.  The closed forms are hook-content
+products over the cells of the indexing partition, read off the operator:
+each cell contributes the operator's raising weight over {hook}, and the
+common denominator prod {hook} comes from the cyclotomic hook vector.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .partitions import (
     Cell,
     Partition,
     cells,
-    content_polynomial,
     enumerate_partitions,
     hook_denominator,
     removable_cells,
@@ -51,6 +50,8 @@ from .skein import (
     SkeinVector,
     UNKNOT_OP,
     Z_BRACKET,
+    box_weight,
+    diagonal_part,
 )
 
 
@@ -97,12 +98,17 @@ class Geometry:
         return f"Geometry(tag={self.tag!r}, operator={self.operator!r})"
 
     def raising_weight(self, cell: Cell) -> LaurentPolynomial:
-        """Coefficient the operator's raising part attaches to an added box:
-        x + y aL q^{content}, since P11 weights a box by aL q^{content}."""
-        return self._x + self._y * monomial(1, s=2 * cell.content, aL=1)
+        """Coefficient the operator's raising part x P01 + y P11 attaches to
+        an added box, from skein's box weights of P01 and P11."""
+        return (self._x * box_weight(Generator.P01, cell)
+                + self._y * box_weight(Generator.P11, cell))
 
 
-def geometry(tag: GeometryTag | str) -> Geometry:
+def geometry(tag: Geometry | GeometryTag | str) -> Geometry:
+    """The preset geometry of a tag or its name; a Geometry is returned
+    unchanged."""
+    if isinstance(tag, Geometry):
+        return tag
     if isinstance(tag, str):
         tag = GeometryTag(tag)
     return Geometry(tag, _OPERATORS[tag])
@@ -116,12 +122,11 @@ def solve_recursion(geom: Geometry | GeometryTag | str, max_degree: int) -> Skei
     part on each partition:
 
         psi_mu = sum over (lambda, box) with lambda + box = mu
-                 of weight(box) psi_lambda / (aL (q^{1/2} - q^{-1/2}) c_mu(q))
+                 of raising_weight(box) psi_lambda / diagonal_part(mu)
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    if not isinstance(geom, Geometry):
-        geom = geometry(geom)
+    geom = geometry(geom)
     coeffs: dict[Partition, RationalFunction] = {EMPTY: RationalFunction(1)}
     for degree in range(1, max_degree + 1):
         for mu in enumerate_partitions(degree):
@@ -130,7 +135,7 @@ def solve_recursion(geom: Geometry | GeometryTag | str, max_degree: int) -> Skei
                 psi_lam = coeffs.get(lam)
                 if psi_lam is not None:
                     total = total + psi_lam * geom.raising_weight(cell)
-            coeffs[mu] = total / (AL * Z_BRACKET * content_polynomial(mu))
+            coeffs[mu] = total / diagonal_part(mu)
     return SkeinVector(coeffs, max_degree)
 
 
@@ -149,8 +154,7 @@ def closed_form(geom: Geometry | GeometryTag | str, p: Partition) -> RationalFun
     is s^{-sum of hooks} times the hook denominator H_p, and the fraction is
     reduced once.
     """
-    if not isinstance(geom, Geometry):
-        geom = geometry(geom)
+    geom = geometry(geom)
     top = monomial(1, s=sum(c.hook - c.content for c in cells(p)), aL=-p.size)
     for c in cells(p):
         top = top * geom.raising_weight(c)
@@ -159,21 +163,21 @@ def closed_form(geom: Geometry | GeometryTag | str, p: Partition) -> RationalFun
 
 def colored_unknot_invariant(p: Partition) -> RationalFunction:
     """Skein evaluation of the partition-cable of the standard unknot, the
-    primed unknot's closed form at g = 1:
+    closed form of the primed unknot's operator at g = 1:
 
         prod over cells of (a q^{c/2} - a^{-1} q^{-c/2}) / {hook}
     """
-    return closed_form(GeometryTag.UNKNOT_PRIME, p).substitute({"g": 1})
+    primed = _OPERATORS[GeometryTag.UNKNOT_PRIME]
+    at_g1 = OperatorExpression([(coeff.substitute({"g": 1}), word)
+                                for coeff, word in primed.terms])
+    return closed_form(Geometry(GeometryTag.UNKNOT_PRIME, at_g1), p)
 
 
-def verify_annihilation(geom: Geometry | GeometryTag | str, psi: SkeinVector,
-                        unknot_value: RationalFunction | None = None) -> bool:
+def verify_annihilation(geom: Geometry | GeometryTag | str, psi: SkeinVector) -> bool:
     """True iff applying the geometry's operator to psi vanishes in every
     degree up to psi's truncation (terms the truncation cannot determine are
     excluded automatically)."""
-    if not isinstance(geom, Geometry):
-        geom = geometry(geom)
-    return geom.operator.apply(psi, unknot_value).is_zero
+    return geometry(geom).operator.apply(psi).is_zero
 
 
 def swap_symmetry_sides(p: Partition) -> tuple[RationalFunction, RationalFunction]:

@@ -504,6 +504,48 @@ def test_closed_form_golden_bytes(capsys, command, fmt):
     assert digest.hexdigest() == GOLDEN_CLOSED_FORM_SHA256[command, fmt]
 
 
+# sha256 of the stdout of `partitions n` for n = 0..8, of `content-poly` and
+# `hook-poly` for every partition through degree 6 in output order, each
+# concatenated, and of `solve-coefficients --geometry c3`, as produced when
+# each command wrote its own output; the shared output path must keep them.
+GOLDEN_COMMAND_SHA256 = {
+    ("partitions", "text"):
+        "8e7a3df049fa15a54e68c49145448c40c9c8c7c441e0500ac63ef37266076e62",
+    ("partitions", "records"):
+        "3415f757c205458b4159862c6aabf44fba629e94033a29d6eda4b7c086c0af92",
+    ("content-poly", "text"):
+        "d5b4a8f5fcb00fe62c9d6aa9f95812667b7f5e9d7f17e734f2ce509c453e0fc2",
+    ("content-poly", "records"):
+        "0e4d64890d51158a0f9b6accbfa3529a6a20d5712b944720fb54621b16a30779",
+    ("hook-poly", "text"):
+        "9da75405f620f37df041e566421baace6179e8b35783979fac0af36e73fbaa6f",
+    ("hook-poly", "records"):
+        "303454b7b9d9e0904f6613b48eee8e947b09189c6d14b47389b0cce702f5f020",
+    ("solve-coefficients", "text"):
+        "a9bb1ede88eedbcb81bd4048d20cf2fabeb0a4266b77d9da3ba9c095ddd8bcf8",
+    ("solve-coefficients", "records"):
+        "1eefc374bb5bc4a63290cfb9de2da4f66c564528631a8df6282d5c74ec208283",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN_COMMAND_SHA256))
+def test_command_golden_bytes(capsys, command, fmt):
+    from skeinsolve.partitions import partitions_through
+
+    if command == "partitions":
+        runs = [[str(n)] for n in range(9)]
+    elif command == "solve-coefficients":
+        runs = [["--geometry", "c3"]]
+    else:
+        runs = [[str(p)] for p in partitions_through(6)]
+    digest = hashlib.sha256()
+    for args in runs:
+        code, out, err = run_cli(capsys, command, *args, "--format", fmt)
+        assert (code, err) == (0, "")
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_COMMAND_SHA256[command, fmt]
+
+
 # ---------------------------------------------------------------------------
 # a reader that stops early
 # ---------------------------------------------------------------------------

@@ -11,18 +11,28 @@ from skeinsolve import (
     RationalFunction,
     SkeinVector,
     UNKNOT_VALUE,
+    ZERO,
     Z_BRACKET,
     apply_generator,
     apply_p01,
     apply_p10,
     apply_p11,
     apply_unknot,
+    cells,
     enumerate_partitions,
     monomial,
-    p10_eigenvalue,
+    partitions_through,
 )
 from skeinsolve.partitions import BOX, EMPTY
-from skeinsolve.skein import IDENTITY_OP, P01_OP, P10_OP, P11_OP, UNKNOT_OP
+from skeinsolve.skein import (
+    IDENTITY_OP,
+    P01_OP,
+    P10_OP,
+    P11_OP,
+    UNKNOT_OP,
+    box_weight,
+    diagonal_part,
+)
 
 from strategies import rational_functions
 
@@ -74,7 +84,6 @@ def test_p10_on_empty_is_unknot_value():
 def test_p10_on_box():
     expected = UNKNOT_VALUE + RationalFunction(AL * Z_BRACKET)
     assert apply_p10(W(BOX)) == W(BOX).scale(expected)
-    assert p10_eigenvalue(BOX) == expected
 
 
 def test_p10_minus_unknot_on_row_two():
@@ -82,6 +91,23 @@ def test_p10_minus_unknot_on_row_two():
     p2 = Partition((2,))
     diff = (P10_OP - UNKNOT_OP).apply(W(p2))
     assert diff == W(p2).scale(AL * Z_BRACKET * (1 + Q))
+
+
+def test_p10_minus_unknot_is_the_diagonal_part():
+    # aL z sum of q^{content}, written out from the cells
+    diff = P10_OP - UNKNOT_OP
+    for p in partitions_through(4):
+        expected = AL * Z_BRACKET * sum(
+            (monomial(1, s=2 * c.content) for c in cells(p)), ZERO)
+        assert diagonal_part(p) == expected, p
+        assert diff.apply(W(p)) == W(p).scale(expected), p
+
+
+@pytest.mark.parametrize("gen", (Generator.UNKNOT, Generator.P10, Generator.IDENTITY))
+def test_box_weight_rejects_a_generator_that_adds_no_box(gen):
+    [cell] = cells(BOX)
+    with pytest.raises(ValueError):
+        box_weight(gen, cell)
 
 
 def test_p01_branches():
@@ -190,14 +216,6 @@ def test_generator_linearity(x, y):
         split = (apply_generator(gen, W(EMPTY, 2)).scale(x)
                  + apply_generator(gen, W(BOX, 2)).scale(y))
         assert image == split
-
-
-def test_custom_unknot_value():
-    other = RationalFunction(monomial(7))
-    assert apply_unknot(W(EMPTY), other) == W(EMPTY).scale(other)
-    # the difference P10 - unknot does not depend on the scalar at all
-    diff = P10_OP - UNKNOT_OP
-    assert diff.apply(W(BOX), other) == diff.apply(W(BOX))
 
 
 def test_operator_rendering_deterministic():
