@@ -13,10 +13,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import gcd as _int_gcd
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Mapping, NamedTuple, Union
 
 
 class DenominatorNotSUnivariateError(ValueError):
@@ -111,16 +108,7 @@ class LaurentPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Exponent, int] | None = None):
-        clean: dict[Exponent, int] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff:
-                    if not isinstance(exp, Exponent):
-                        exp = Exponent(*exp)
-                    clean[exp] = clean.get(exp, 0) + coeff
-                    if clean[exp] == 0:
-                        del clean[exp]
-        self._terms = clean
+        self._terms = {e: c for e, c in terms.items() if c} if terms else {}
 
     # -- basic views ---------------------------------------------------
 
@@ -145,9 +133,6 @@ class LaurentPolynomial:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def is_s_univariate(self) -> bool:
-        return all(e.a == 0 and e.aL == 0 and e.g == 0 for e in self._terms)
 
     def as_signed_monomial(self) -> SignedMonomial | None:
         """The term as a SignedMonomial, if the polynomial is one; else None."""
@@ -264,7 +249,7 @@ class LaurentPolynomial:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    # -- substitution and evaluation ------------------------------------
+    # -- substitution ----------------------------------------------------
 
     def substitute(self, images: Mapping[str, PolyLike]) -> "LaurentPolynomial":
         """Ring endomorphism mapping each named variable to a signed monomial.
@@ -302,21 +287,6 @@ class LaurentPolynomial:
         result = LaurentPolynomial.__new__(LaurentPolynomial)
         result._terms = out
         return result
-
-    def evaluate(self, s: Fraction | int = 1, a: Fraction | int = 1,
-                 aL: Fraction | int = 1, g: Fraction | int = 1) -> Fraction:
-        """Exact evaluation at nonzero rational points."""
-        # imported here: no command evaluates, and fractions loads decimal
-        from fractions import Fraction
-        vals = (Fraction(s), Fraction(a), Fraction(aL), Fraction(g))
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            term = Fraction(c)
-            for v, k in zip(vals, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
 
     # -- rendering -------------------------------------------------------
 
@@ -511,31 +481,13 @@ def _list_exact_div(f: list[int], d: list[int]) -> list[int]:
     return out
 
 
-def _normalize_univariate(f: LaurentPolynomial) -> LaurentPolynomial:
-    """Primitive part of an s-univariate polynomial, shifted to have a nonzero
-    constant term and a positive leading coefficient."""
-    if f.is_zero:
-        return ZERO
-    _, coeffs = _as_int_poly(f)
-    coeffs = _list_primitive(coeffs)
-    if coeffs[-1] < 0:
-        coeffs = [-c for c in coeffs]
-    return _from_int_poly(coeffs)
-
-
 def gcd_s(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    """Gcd over the rationals of two s-univariate Laurent polynomials.
+    """Gcd over the rationals of two nonzero s-univariate Laurent polynomials.
 
     The result is primitive with positive leading coefficient and nonzero
-    constant term; the gcd of f with 0 is the normalized f.
+    constant term.  Raises ValueError if either input is zero or involves
+    a, aL or g.
     """
-    for p in (f, g):
-        if not p.is_s_univariate():
-            raise ValueError("gcd_s inputs must involve only s")
-    if f.is_zero:
-        return _normalize_univariate(g)
-    if g.is_zero:
-        return _normalize_univariate(f)
     _, fc = _as_int_poly(f)
     _, gc = _as_int_poly(g)
     return _from_int_poly(_list_gcd(fc, gc))
@@ -717,7 +669,7 @@ class RationalFunction:
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
-    # -- substitution and evaluation ------------------------------------
+    # -- substitution ----------------------------------------------------
 
     def substitute(self, images: Mapping[str, PolyLike]) -> "RationalFunction":
         """Apply a signed-monomial substitution to numerator and denominator."""
@@ -727,13 +679,6 @@ class RationalFunction:
             return RationalFunction(num, den)
         except DenominatorNotSUnivariateError as exc:
             raise IllegalSubstitutionError(str(exc)) from exc
-
-    def evaluate(self, s: Fraction | int = 1, a: Fraction | int = 1,
-                 aL: Fraction | int = 1, g: Fraction | int = 1) -> Fraction:
-        den = self._den.evaluate(s, a, aL, g)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return self._num.evaluate(s, a, aL, g) / den
 
     def __str__(self) -> str:
         if self._den.is_one:

@@ -52,19 +52,15 @@ def rf_from_record(record: dict) -> RationalFunction:
                    poly_from_records(record["den"]))
 
 
-def skein_vector_records(v: SkeinVector, *, geometry: str | None = None,
-                         operator: str | None = None) -> list[dict]:
-    header = {
+def skein_vector_records(v: SkeinVector, *, geometry: str, operator: str) -> list[dict]:
+    rows: list[dict] = [{
         "kind": "skein-vector",
         "schema": SCHEMA_VERSION,
         "max_degree": v.max_degree,
         "variables": VARIABLE_CONVENTIONS,
-    }
-    if geometry is not None:
-        header["geometry"] = geometry
-    if operator is not None:
-        header["operator"] = operator
-    rows: list[dict] = [header]
+        "geometry": geometry,
+        "operator": operator,
+    }]
     for p, coeff in v.items():
         rows.append({"partition": str(p), "coefficient": rf_record(coeff)})
     return rows

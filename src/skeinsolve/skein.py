@@ -41,7 +41,6 @@ from .ring import (
 
 
 class Generator(Enum):
-    IDENTITY = "I"
     UNKNOT = "O"
     P10 = "P10"
     P01 = "P01"
@@ -171,10 +170,6 @@ def box_weight(gen: Generator, cell: Cell) -> LaurentPolynomial:
     raise ValueError(f"{gen.value} adds no box")
 
 
-def apply_identity(v: SkeinVector) -> SkeinVector:
-    return v
-
-
 def apply_unknot(v: SkeinVector) -> SkeinVector:
     return v.scale(UNKNOT_VALUE)
 
@@ -211,7 +206,6 @@ def apply_p11(v: SkeinVector) -> SkeinVector:
 
 
 _APPLY = {
-    Generator.IDENTITY: apply_identity,
     Generator.UNKNOT: apply_unknot,
     Generator.P10: apply_p10,
     Generator.P01: apply_p01,
@@ -227,23 +221,19 @@ class OperatorExpression:
     """Formal combination of generator words with Laurent-polynomial
     coefficients, closed under sum, scalar multiple and composition.
 
-    A word (g1, g2, ..., gk) acts as g1 after g2 after ... after gk.
+    A word (g1, g2, ..., gk) acts as g1 after g2 after ... after gk; the
+    empty word acts as the identity.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[tuple[object, object]] = ()):
+    def __init__(self, terms: Iterable[tuple[object, Iterable[Generator]]] = ()):
         collected: dict[tuple[Generator, ...], LaurentPolynomial] = {}
         for coeff, word in terms:
             coeff = LaurentPolynomial._coerce(coeff)
             if coeff is NotImplemented:
                 raise TypeError("operator coefficients must be Laurent polynomials")
-            if isinstance(word, Generator):
-                word = (word,)
-            else:
-                word = tuple(word)
-            if not word:
-                word = (Generator.IDENTITY,)
+            word = tuple(word)
             acc = collected.get(word)
             acc = coeff if acc is None else acc + coeff
             if acc.is_zero:
@@ -343,7 +333,6 @@ class OperatorExpression:
         return f"OperatorExpression({str(self)!r})"
 
 
-IDENTITY_OP = OperatorExpression.generator(Generator.IDENTITY)
 UNKNOT_OP = OperatorExpression.generator(Generator.UNKNOT)
 P10_OP = OperatorExpression.generator(Generator.P10)
 P01_OP = OperatorExpression.generator(Generator.P01)

@@ -194,18 +194,18 @@ def swap_symmetry_sides(p: Partition) -> tuple[RationalFunction, RationalFunctio
 
 
 class CoefficientTemplate(NamedTuple):
-    """Ansatz  unknot + sum of fixed coefficients + sum of unknowns, with the
-    low-degree coefficients of the solution as constraints.
+    """Ansatz  unknot + sum of unknowns, constrained by the solution's
+    coefficients 1 at the empty partition and psi_box at the box.
 
     Unknown coefficients, one per distinct generator, range over signed
     monomials in a, aL, g with each exponent bounded by exponent_bound in
-    absolute value.
+    absolute value.  With psi_empty = 1 each unknown enters one of the two
+    equations: P10 at the empty partition with factor UNKNOT_VALUE, P01
+    and P11 at the box with factors 1 and aL.
     """
 
     unknowns: tuple[Generator, ...]
     psi_box: RationalFunction
-    psi_empty: RationalFunction = RationalFunction(1)
-    fixed: tuple[tuple[Generator, LaurentPolynomial], ...] = ()
     exponent_bound: int = 2
 
 
@@ -241,31 +241,25 @@ def solve_monomial_coefficients(
     the assembled operator kills the constrained part of the solution.
 
     A(phi) is linear in the coefficients, so its empty and box coefficients
-    are linear equations in the unknowns that enter them.  At each in turn,
-    the still-unassigned unknowns that enter it are enumerated over the
-    bounded signed monomials, all but the last, and the last is solved
-    exactly: its factor is nonzero, so the enumerated values determine it
-    uniquely, and it is kept if it is itself a bounded signed monomial free
-    of s.  Unknowns entering neither equation are enumerated.  The result is
-    therefore exactly what an exhaustive search over all bounded assignments
-    finds, each assignment once, in a fixed order.  Raises NoSolutionError
-    if it is empty, and ValueError if an unknown or a fixed coefficient is
-    the unknot, an unknown is repeated or a generator is both fixed and
-    unknown.
+    are linear equations in the unknowns that enter them.  Every unknown
+    enters one of them, because psi_empty = 1: P10 the empty coefficient
+    with factor UNKNOT_VALUE, P01 and P11 the box coefficient with factors
+    1 and aL.  At each equation in turn, the still-unassigned unknowns that
+    enter it are enumerated over the bounded signed monomials, all but the
+    last, and the last is solved exactly: its factor is nonzero, so the
+    enumerated values determine it uniquely, and it is kept if it is itself
+    a bounded signed monomial free of s.  The result is therefore exactly
+    what an exhaustive search over all bounded assignments finds, each
+    assignment once, in a fixed order.  Raises NoSolutionError if it is
+    empty, and ValueError if an unknown is the unknot or is repeated.
     """
     unknowns = template.unknowns
-    fixed = [gen for gen, _ in template.fixed]
-    for gen in (*unknowns, *fixed):
-        if gen in (Generator.UNKNOT, Generator.IDENTITY):
-            raise ValueError("the unknot coefficient is pinned to 1 by rescaling")
+    if Generator.UNKNOT in unknowns:
+        raise ValueError("the unknot coefficient is pinned to 1 by rescaling")
     if len(set(unknowns)) != len(unknowns):
         raise ValueError("an unknown generator is listed twice")
-    if set(unknowns) & set(fixed):
-        raise ValueError("a generator is both fixed and unknown")
-    phi = SkeinVector({EMPTY: template.psi_empty, BOX: template.psi_box}, 1)
-    known_op = UNKNOT_OP + OperatorExpression(
-        [(coeff, (gen,)) for gen, coeff in template.fixed])
-    base = known_op.apply(phi)
+    phi = SkeinVector({EMPTY: 1, BOX: template.psi_box}, 1)
+    base = UNKNOT_OP.apply(phi)
     images = {gen: OperatorExpression.generator(gen).apply(phi) for gen in unknowns}
     candidates = _candidate_monomials(template.exponent_bound)
     allowed = set(candidates)  # the bounds, and no power of s
@@ -295,14 +289,11 @@ def solve_monomial_coefficients(
                     extended.append({**assignment, **dict(zip(enumerated, choice)),
                                      last: solved})
         solutions = extended
-    solutions = [{**assignment, **dict(zip(free, choice))}
-                 for assignment in solutions
-                 for choice in _cartesian(candidates, repeat=len(free))]
 
     # Confirm every candidate exactly on the constrained degrees.
     confirmed = []
     for assignment in solutions:
-        op = known_op + OperatorExpression(
+        op = UNKNOT_OP + OperatorExpression(
             [(sm.to_polynomial(), (gen,)) for gen, sm in assignment.items()])
         if op.apply(phi).is_zero:
             confirmed.append(assignment)

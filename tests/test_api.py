@@ -1,6 +1,7 @@
 """Every public module-level function and class in the package is used by the
-package itself: a name that only the exports or the tests reach is unused
-API."""
+package itself, and every public method and property of a package class by
+the package or the benchmark: a name that only the exports or the tests
+reach is unused API."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,14 @@ import skeinsolve
 
 PACKAGE = Path(skeinsolve.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the benchmark's tracer and runner call into the package, so they count as
+# callers; their own tests do not
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+PERFBENCH = sorted(p for p in BENCH_DIR.glob("*.py") if not p.name.startswith("test_"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _public_definitions(tree: ast.Module):
@@ -35,8 +44,7 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 
 
 def test_every_public_definition_is_used_inside_the_package():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in MODULES}
+    trees = {path.name: _parse(path) for path in MODULES}
     unused = []
     for name, tree in trees.items():
         others = set().union(*(_referenced_names(t) for n, t in trees.items()
@@ -45,4 +53,22 @@ def test_every_public_definition_is_used_inside_the_package():
             if (node.name not in others
                     and node.name not in _referenced_names(tree, skip=node)):
                 unused.append(f"{name}:{node.name}")
+    assert unused == []
+
+
+def test_every_public_method_is_used_outside_its_definition():
+    trees = {path.name: _parse(path) for path in MODULES}
+    bench = set().union(*(_referenced_names(_parse(path)) for path in PERFBENCH))
+    unused = []
+    for name, tree in trees.items():
+        others = bench.union(*(_referenced_names(t) for n, t in trees.items()
+                               if n != name))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and node.name not in others
+                        and node.name not in _referenced_names(tree, skip=node)):
+                    unused.append(f"{name}:{cls.name}.{node.name}")
     assert unused == []

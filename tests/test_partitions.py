@@ -122,7 +122,7 @@ def test_content_polynomial_empty_and_small():
 
 @given(partitions())
 def test_content_polynomial_at_one_is_size(p):
-    assert content_polynomial(p).evaluate(s=1) == p.size
+    assert content_polynomial(p).substitute({"s": 1}) == p.size
 
 
 def test_hook_polynomial_at_one_is_hook_product():
@@ -130,7 +130,7 @@ def test_hook_polynomial_at_one_is_hook_product():
         product = 1
         for c in cells(p):
             product *= c.hook
-        assert hook_polynomial(p).evaluate(s=1) == product, p
+        assert hook_polynomial(p).substitute({"s": 1}) == product, p
 
 
 def test_hook_polynomial_examples():

@@ -138,11 +138,6 @@ def test_gcd_basic():
     assert gcd_s(Q - 1, S - 1) == S - 1
 
 
-def test_gcd_with_zero_normalizes():
-    assert gcd_s(2 * Q - 2 * Q ** -1, ZERO) == monomial(1, s=4) - 1
-    assert gcd_s(ZERO, S - S ** -1) == Q - 1
-
-
 def test_gcd_shared_factor():
     # division oracle: (1+s^2)(1-s^2+s^4) = 1+s^6, while 1+s^2+s^4 is
     # coprime to 1+s^2, so the shared-factor pair uses 1+s^6
@@ -157,11 +152,17 @@ def test_gcd_rejects_other_variables():
         gcd_s(A - 1, S)
 
 
-@given(laurent_polynomials(s_only=True), laurent_polynomials(s_only=True, nonzero=True))
+@pytest.mark.parametrize("f,g", [(ZERO, S - 1), (Q - 1, ZERO)], ids=["first", "second"])
+def test_gcd_rejects_zero(f, g):
+    with pytest.raises(ValueError):
+        gcd_s(f, g)
+
+
+@given(laurent_polynomials(s_only=True, nonzero=True),
+       laurent_polynomials(s_only=True, nonzero=True))
 def test_gcd_divides_both(f, g):
     d = gcd_s(f, g)
-    if not f.is_zero:
-        assert exact_div_s(f, d) * d == f
+    assert exact_div_s(f, d) * d == f
     assert exact_div_s(g, d) * d == g
 
 
@@ -426,7 +427,7 @@ def test_rf_denominator_must_be_s_univariate():
 def test_rf_unit_denominators_are_folded():
     # monomial factors in the denominator move into the numerator
     x = RationalFunction(1, AL * Z)
-    assert x.denominator.is_s_univariate()
+    assert all(e.a == e.aL == e.g == 0 for e in x.denominator.terms)
     assert x == RationalFunction(AL ** -1, Z)
 
 
@@ -624,13 +625,6 @@ def test_monomial_ratio():
     assert monomial_ratio(x * monomial(1, a=2, g=-1), x) == SignedMonomial(
         1, Exponent(a=2, g=-1))
     assert monomial_ratio(x, u) is None
-
-
-def test_evaluation():
-    f = Q + A * AL - 2
-    assert f.evaluate(s=2, a=3, aL=Fraction(1, 2)) == 4 + Fraction(3, 2) - 2
-    x = RationalFunction(1, Z)
-    assert x.evaluate(s=2) == Fraction(2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_poly_from_records_rejects_a_repeated_exponent():
 def test_read_back_wraps_records_without_reducing(geometry, monkeypatch):
     # rf_record writes reduced values, so reading them back needs no gcd
     psi = solve_recursion(geometry, 6)
-    text = dumps_records(skein_vector_records(psi, geometry=geometry))
+    text = dumps_records(skein_vector_records(psi, geometry=geometry, operator="test"))
 
     def no_reduction(num, den):
         raise AssertionError("a stored coefficient was reduced again")
@@ -106,13 +106,13 @@ def test_skein_vector_records_ordered_by_degree_then_revlex():
          Partition((2,)): RationalFunction(1),
          EMPTY: RationalFunction(1),
          BOX: RationalFunction(1)}, 2)
-    rows = skein_vector_records(v)[1:]
+    rows = skein_vector_records(v, geometry="c3", operator="test")[1:]
     assert [r["partition"] for r in rows] == ["", "1", "2", "1,1"]
 
 
 def test_schema_guard():
     psi = solve_recursion("c3", 1)
-    records = skein_vector_records(psi)
+    records = skein_vector_records(psi, geometry="c3", operator="test")
     records[0]["schema"] = SCHEMA_VERSION + 1
     with pytest.raises(ValueError):
         skein_vector_from_records(records)

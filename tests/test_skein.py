@@ -25,7 +25,6 @@ from skeinsolve import (
 )
 from skeinsolve.partitions import BOX, EMPTY
 from skeinsolve.skein import (
-    IDENTITY_OP,
     P01_OP,
     P10_OP,
     P11_OP,
@@ -103,7 +102,7 @@ def test_p10_minus_unknot_is_the_diagonal_part():
         assert diff.apply(W(p)) == W(p).scale(expected), p
 
 
-@pytest.mark.parametrize("gen", (Generator.UNKNOT, Generator.P10, Generator.IDENTITY))
+@pytest.mark.parametrize("gen", (Generator.UNKNOT, Generator.P10))
 def test_box_weight_rejects_a_generator_that_adds_no_box(gen):
     [cell] = cells(BOX)
     with pytest.raises(ValueError):
@@ -154,11 +153,6 @@ def test_commutator_identity(n):
 # ---------------------------------------------------------------------------
 # operator expressions
 # ---------------------------------------------------------------------------
-
-
-def test_identity_operator():
-    v = W(Partition((2, 1)), 4) + W(BOX, 4).scale(G)
-    assert IDENTITY_OP.apply(v) == v
 
 
 def test_unknot_minus_p10_kills_empty():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -260,20 +261,18 @@ def test_unknot_coefficients_two_branches():
 def test_coefficient_template_defaults():
     template = CoefficientTemplate(unknowns=(Generator.P01,),
                                    psi_box=RationalFunction(G, Z_BRACKET))
-    assert template.psi_empty == RationalFunction(1)
-    assert template.fixed == ()
     assert template.exponent_bound == 2
     assert template == CoefficientTemplate(
-        (Generator.P01,), RationalFunction(G, Z_BRACKET), RationalFunction(1), (), 2)
+        (Generator.P01,), RationalFunction(G, Z_BRACKET), 2)
     with pytest.raises(AttributeError):
         template.exponent_bound = 3
 
 
 def test_no_solution_without_box_term():
+    # P10 = -1 solves the empty coefficient; the box coefficient then needs P01 = 0
     template = CoefficientTemplate(
-        unknowns=(Generator.P01,),
+        unknowns=(Generator.P10, Generator.P01),
         psi_box=RationalFunction(0),
-        fixed=((Generator.P10, -monomial(1)),),
     )
     with pytest.raises(NoSolutionError):
         solve_monomial_coefficients(template)
@@ -310,32 +309,24 @@ def test_repeated_unknown_is_rejected():
             psi_box=RationalFunction(G, Z_BRACKET)))
 
 
-def test_generator_both_fixed_and_unknown_is_rejected():
-    # otherwise the fixed and the solved share of P10 would be added silently
-    with pytest.raises(ValueError, match="both fixed and unknown"):
-        solve_monomial_coefficients(
-            c3_template()._replace(fixed=((Generator.P10, monomial(-2)),)))
-
-
-@pytest.mark.parametrize("gen", (Generator.UNKNOT, Generator.IDENTITY))
-def test_fixed_coefficient_cannot_be_unknot(gen):
-    # the unknot coefficient is already 1; fixing it again would double it
-    with pytest.raises(ValueError, match="pinned to 1"):
-        solve_monomial_coefficients(
-            c3_template()._replace(fixed=((gen, monomial(1)),)))
-
-
 # An exhaustive reference: every bounded signed-monomial assignment is tried.
 # Each generator's image of phi is computed once; a candidate is screened by
 # its value at a fixed point mod a prime and confirmed by exact arithmetic.
 
 _PRIME = 2 ** 61 - 1
-_POINT = {"s": 3, "a": 5, "aL": 7, "g": 11}
+_POINT = (3, 5, 7, 11)  # s, a, aL, g
+
+
+def _poly_mod_prime(f) -> int:
+    """f at _POINT in GF(_PRIME), summed over its term map."""
+    return sum(c * math.prod(pow(v, k, _PRIME) for v, k in zip(_POINT, e))
+               for e, c in f.terms.items()) % _PRIME
 
 
 def _mod_prime(x) -> int:
-    value = x.evaluate(**_POINT)
-    return value.numerator * pow(value.denominator, -1, _PRIME) % _PRIME
+    """A rational function at _POINT; ValueError if its denominator vanishes."""
+    return (_poly_mod_prime(x.numerator)
+            * pow(_poly_mod_prime(x.denominator), -1, _PRIME) % _PRIME)
 
 
 def _solution_key(solution):
@@ -343,17 +334,15 @@ def _solution_key(solution):
 
 
 def _brute_force_coefficients(template):
-    phi = SkeinVector({EMPTY: template.psi_empty, BOX: template.psi_box}, 1)
-    known = UNKNOT_OP + OperatorExpression(
-        [(coeff, (gen,)) for gen, coeff in template.fixed])
-    base = known.apply(phi)
+    phi = SkeinVector({EMPTY: 1, BOX: template.psi_box}, 1)
+    base = UNKNOT_OP.apply(phi)
     images = [OperatorExpression.generator(gen).apply(phi)
               for gen in template.unknowns]
     bound = range(-template.exponent_bound, template.exponent_bound + 1)
     monomials = [SignedMonomial(sign, Exponent(0, *e))
                  for sign in (1, -1) for e in itertools.product(bound, repeat=3)]
     parts = (EMPTY, BOX)
-    tables = [[(sm, [_mod_prime(sm.to_polynomial()) * _mod_prime(img.coefficient(p))
+    tables = [[(sm, [_poly_mod_prime(sm.to_polynomial()) * _mod_prime(img.coefficient(p))
                      for p in parts]) for sm in monomials] for img in images]
     targets = [_mod_prime(base.coefficient(p)) for p in parts]
     found = []
@@ -373,20 +362,12 @@ def _brute_force_coefficients(template):
     (c3_template()._replace(exponent_bound=1), 1),
     (unknot_template()._replace(exponent_bound=1), 2),
     (CoefficientTemplate(  # P01 and aL P11 cancel in the box coefficient
-        unknowns=(Generator.P01, Generator.P11), psi_box=RationalFunction(0),
-        fixed=((Generator.P10, -monomial(1)),), exponent_bound=1), 36),
-    (CoefficientTemplate(  # P01's factor 1 + a is not a monomial
-        unknowns=(Generator.P10, Generator.P01),
-        psi_empty=RationalFunction(1 + A),
-        psi_box=RationalFunction(G * (1 + A), Z_BRACKET), exponent_bound=1), 1),
+        unknowns=(Generator.P10, Generator.P01, Generator.P11),
+        psi_box=RationalFunction(0), exponent_bound=1), 36),
     (CoefficientTemplate(
-        unknowns=(Generator.P01,), psi_box=RationalFunction(0),
-        fixed=((Generator.P10, -monomial(1)),), exponent_bound=1), 0),
-    (CoefficientTemplate(  # with phi = 0 no coefficient constrains P01
-        unknowns=(Generator.P01,), psi_empty=RationalFunction(0),
-        psi_box=RationalFunction(0), exponent_bound=1), 54),
-), ids=("c3", "unknot", "cancelling-pair", "non-monomial-factor", "no-box-term",
-        "unconstrained"))
+        unknowns=(Generator.P10, Generator.P01), psi_box=RationalFunction(0),
+        exponent_bound=1), 0),
+), ids=("c3", "unknot", "cancelling-pair", "no-box-term"))
 def test_coefficients_match_brute_force(template, count):
     expected = _brute_force_coefficients(template)
     assert len(expected) == count
