@@ -43,7 +43,6 @@ from .skein import (
     SkeinVector,
     UNKNOT_VALUE,
     Z_BRACKET,
-    apply_generator,
     apply_p01,
     apply_p10,
     apply_p11,
@@ -54,13 +53,12 @@ from .solver import (
     Geometry,
     GeometryTag,
     NoSolutionError,
-    c3_template,
+    TEMPLATES,
     closed_form,
     colored_unknot_invariant,
     geometry,
     solve_monomial_coefficients,
     solve_recursion,
-    unknot_template,
     verify_annihilation,
 )
 

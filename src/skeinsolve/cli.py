@@ -32,13 +32,12 @@ from .serialize import (
 from .solver import (
     GeometryTag,
     NoSolutionError,
-    c3_template,
+    TEMPLATES,
     closed_form,
     colored_unknot_invariant,
     geometry,
     solve_monomial_coefficients,
     solve_recursion,
-    unknot_template,
 )
 from .verify import SUITES, run_suite
 
@@ -107,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-coefficients",
                        help="solve for unknown signed-monomial operator coefficients")
-    p.add_argument("--geometry", required=True, choices=("c3", "unknot"))
+    p.add_argument("--geometry", required=True, choices=[t.value for t in TEMPLATES])
     add_format(p)
 
     return parser
@@ -206,9 +205,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve_coefficients(args) -> int:
-    template = c3_template() if args.geometry == "c3" else unknot_template()
     try:
-        solutions = solve_monomial_coefficients(template)
+        solutions = solve_monomial_coefficients(TEMPLATES[GeometryTag(args.geometry)])
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1

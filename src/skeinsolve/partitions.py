@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import cache, reduce
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .ring import (
     LaurentPolynomial,
@@ -86,9 +86,6 @@ class Partition:
                 cols[j] += 1
         return Partition(cols)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
@@ -114,33 +111,20 @@ def partition_sort_key(p: Partition) -> tuple[int, tuple[int, ...]]:
 
 
 class Cell(NamedTuple):
-    """One box of a Young diagram with its derived statistics."""
+    """One box of a Young diagram: its row, column, arm and leg."""
 
     row: int
     col: int
     arm: int
     leg: int
-    coarm: int
-    coleg: int
 
     @property
     def content(self) -> int:
-        return self.coarm - self.coleg
+        return self.col - self.row
 
     @property
     def hook(self) -> int:
         return self.arm + self.leg + 1
-
-
-def _make_cell(p: Partition, conj: Partition, row: int, col: int) -> Cell:
-    return Cell(
-        row=row,
-        col=col,
-        arm=p.row(row) - col,
-        leg=conj.row(col) - row,
-        coarm=col - 1,
-        coleg=row - 1,
-    )
 
 
 @cache
@@ -148,7 +132,7 @@ def cells(p: Partition) -> tuple[Cell, ...]:
     """All cells of the diagram in row-major order."""
     conj = p.conjugate()
     return tuple(
-        _make_cell(p, conj, row, col)
+        Cell(row, col, p.row(row) - col, conj.row(col) - row)
         for row in range(1, p.length + 1)
         for col in range(1, p.row(row) + 1)
     )
@@ -195,7 +179,6 @@ def content_polynomial(p: Partition) -> LaurentPolynomial:
     return out
 
 
-@cache
 def hook_polynomial(p: Partition) -> LaurentPolynomial:
     """h_p = prod over cells of q^{-leg} [hook]_q (1 for the empty diagram).
 
@@ -218,7 +201,8 @@ def hook_polynomial_qpower_form(p: Partition) -> LaurentPolynomial:
 
 
 def addable_cells(p: Partition) -> list[tuple[Partition, Cell]]:
-    """All ways of adding one box: (enlarged partition, the added cell)."""
+    """All ways of adding one box: (enlarged partition, the added cell), a
+    corner of the enlarged diagram, so its arm and leg are 0."""
     out = []
     parts = p.parts
     for row in range(1, p.length + 2):
@@ -230,13 +214,13 @@ def addable_cells(p: Partition) -> list[tuple[Partition, Cell]]:
             grown[row - 1] += 1
         else:
             grown.append(1)
-        mu = Partition(grown)
-        out.append((mu, _make_cell(mu, mu.conjugate(), row, cur + 1)))
+        out.append((Partition(grown), Cell(row, cur + 1, 0, 0)))
     return out
 
 
 def removable_cells(p: Partition) -> list[tuple[Partition, Cell]]:
-    """All ways of removing one corner box: (shrunk partition, the removed cell)."""
+    """All ways of removing one corner box: (shrunk partition, the removed
+    cell), a corner of p, so its arm and leg are 0."""
     if p.is_empty:
         raise EmptyPartitionError("the empty partition has no removable box")
     out = []
@@ -248,8 +232,7 @@ def removable_cells(p: Partition) -> list[tuple[Partition, Cell]]:
         shrunk[row - 1] -= 1
         if shrunk[row - 1] == 0:
             shrunk.pop()
-        cell = _make_cell(p, p.conjugate(), row, parts[row - 1])
-        out.append((Partition(shrunk), cell))
+        out.append((Partition(shrunk), Cell(row, parts[row - 1], 0, 0)))
     return out
 
 
@@ -298,7 +281,7 @@ def verify_branching(mu: Partition) -> bool:
     if mu.is_empty:
         raise EmptyPartitionError("branching rule needs at least one box")
     own = hook_denominator(mu)
-    removed = [(hook_denominator(lam), cell.coleg) for lam, cell in removable_cells(mu)]
+    removed = [(hook_denominator(lam), cell.row - 1) for lam, cell in removable_cells(mu)]
     lcm = dict(own)
     for exponents, _ in removed:
         for d, e in exponents.items():
@@ -308,9 +291,9 @@ def verify_branching(mu: Partition) -> bool:
     lhs_cofactor[1] += 1  # the factor q - 1 = Phi_1
     lhs = content_polynomial(mu) * cyclotomic_product(lhs_cofactor)
     rhs = LaurentPolynomial()
-    for exponents, coleg in removed:
+    for exponents, above in removed:
         cofactor = {d: e - exponents.get(d, 0) for d, e in lcm.items()}
-        rhs = rhs + monomial(1, s=-2 * coleg) * cyclotomic_product(cofactor)
+        rhs = rhs + monomial(1, s=-2 * above) * cyclotomic_product(cofactor)
     return lhs == rhs
 
 

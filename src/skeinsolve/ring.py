@@ -128,9 +128,6 @@ class LaurentPolynomial:
     def is_one(self) -> bool:
         return self._terms == {ZERO_EXP: 1}
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -213,10 +213,6 @@ _APPLY = {
 }
 
 
-def apply_generator(gen: Generator, v: SkeinVector) -> SkeinVector:
-    return _APPLY[gen](v)
-
-
 class OperatorExpression:
     """Formal combination of generator words with Laurent-polynomial
     coefficients, closed under sum, scalar multiple and composition.
@@ -248,8 +244,8 @@ class OperatorExpression:
         )
 
     @classmethod
-    def generator(cls, gen: Generator, coeff: object = 1) -> "OperatorExpression":
-        return cls([(coeff, (gen,))])
+    def generator(cls, gen: Generator) -> "OperatorExpression":
+        return cls([(1, (gen,))])
 
     @property
     def terms(self) -> tuple[tuple[LaurentPolynomial, tuple[Generator, ...]], ...]:
@@ -278,9 +274,6 @@ class OperatorExpression:
         return OperatorExpression(
             [(c1 * c2, w1 + w2) for c1, w1 in self._terms for c2, w2 in other._terms])
 
-    def __matmul__(self, other: "OperatorExpression") -> "OperatorExpression":
-        return self.compose(other)
-
     @staticmethod
     def commutator(a: "OperatorExpression", b: "OperatorExpression") -> "OperatorExpression":
         return a.compose(b) - b.compose(a)
@@ -292,7 +285,7 @@ class OperatorExpression:
         for coeff, word in self._terms:
             cur = v
             for gen in reversed(word):
-                cur = apply_generator(gen, cur)
+                cur = _APPLY[gen](cur)
             total = total + cur.scale(coeff)
         return total
 

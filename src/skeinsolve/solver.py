@@ -76,6 +76,36 @@ _OPERATORS = {
 }
 
 
+class CoefficientTemplate(NamedTuple):
+    """Ansatz  unknot + sum of unknowns, constrained by the solution's
+    coefficients 1 at the empty partition and psi_box at the box.
+
+    Unknown coefficients, one per distinct generator, range over signed
+    monomials in a, aL, g with each exponent bounded by exponent_bound in
+    absolute value.  With psi_empty = 1 each unknown enters one of the two
+    equations: P10 at the empty partition with factor UNKNOT_VALUE, P01
+    and P11 at the box with factors 1 and aL.
+    """
+
+    unknowns: tuple[Generator, ...]
+    psi_box: RationalFunction
+    exponent_bound: int = 2
+
+
+TEMPLATES = {
+    # psi = 1 + g/(q^{1/2} - q^{-1/2}) W_box + ..., the toric brane
+    GeometryTag.C3: CoefficientTemplate(
+        unknowns=(Generator.P10, Generator.P01),
+        psi_box=RationalFunction(G, Z_BRACKET),
+    ),
+    # psi = 1 + g (a - a^{-1})/(q^{1/2} - q^{-1/2}) W_box + ...
+    GeometryTag.UNKNOT: CoefficientTemplate(
+        unknowns=(Generator.P10, Generator.P01, Generator.P11),
+        psi_box=RationalFunction(G * (A - A ** -1), Z_BRACKET),
+    ),
+}
+
+
 class Geometry:
     """A geometry tag together with its annihilation operator, which must
     have the shape  O - P10 + x P01 + y P11  (ValueError otherwise)."""
@@ -132,9 +162,7 @@ def solve_recursion(geom: Geometry | GeometryTag | str, max_degree: int) -> Skei
         for mu in enumerate_partitions(degree):
             total = RationalFunction(0)
             for lam, cell in removable_cells(mu):
-                psi_lam = coeffs.get(lam)
-                if psi_lam is not None:
-                    total = total + psi_lam * geom.raising_weight(cell)
+                total = total + coeffs[lam] * geom.raising_weight(cell)
             coeffs[mu] = total / diagonal_part(mu)
     return SkeinVector(coeffs, max_degree)
 
@@ -191,40 +219,6 @@ def swap_symmetry_sides(p: Partition) -> tuple[RationalFunction, RationalFunctio
 # ---------------------------------------------------------------------------
 # Solving for unknown signed-monomial operator coefficients.
 # ---------------------------------------------------------------------------
-
-
-class CoefficientTemplate(NamedTuple):
-    """Ansatz  unknot + sum of unknowns, constrained by the solution's
-    coefficients 1 at the empty partition and psi_box at the box.
-
-    Unknown coefficients, one per distinct generator, range over signed
-    monomials in a, aL, g with each exponent bounded by exponent_bound in
-    absolute value.  With psi_empty = 1 each unknown enters one of the two
-    equations: P10 at the empty partition with factor UNKNOT_VALUE, P01
-    and P11 at the box with factors 1 and aL.
-    """
-
-    unknowns: tuple[Generator, ...]
-    psi_box: RationalFunction
-    exponent_bound: int = 2
-
-
-def c3_template() -> CoefficientTemplate:
-    """Unknown meridian and longitude coefficients, constrained by the start
-    of the toric-brane solution 1 + g/(q^{1/2} - q^{-1/2}) W_box + ..."""
-    return CoefficientTemplate(
-        unknowns=(Generator.P10, Generator.P01),
-        psi_box=RationalFunction(G, Z_BRACKET),
-    )
-
-
-def unknot_template() -> CoefficientTemplate:
-    """Unknown meridian, longitude and diagonal-curve coefficients,
-    constrained by 1 + g (a - a^{-1})/(q^{1/2} - q^{-1/2}) W_box + ..."""
-    return CoefficientTemplate(
-        unknowns=(Generator.P10, Generator.P01, Generator.P11),
-        psi_box=RationalFunction(G * (A - A ** -1), Z_BRACKET),
-    )
 
 
 def _candidate_monomials(bound: int) -> list[SignedMonomial]:

@@ -46,13 +46,12 @@ class SuiteReport:
     __slots__ = ("suite", "max_degree", "checked", "failures",
                  "first_counterexample")
 
-    def __init__(self, suite: str, max_degree: int, checked: int = 0,
-                 failures: int = 0, first_counterexample: str | None = None):
+    def __init__(self, suite: str, max_degree: int):
         self.suite = suite
         self.max_degree = max_degree
-        self.checked = checked
-        self.failures = failures
-        self.first_counterexample = first_counterexample
+        self.checked = 0
+        self.failures = 0
+        self.first_counterexample: str | None = None
 
     @property
     def passed(self) -> bool:

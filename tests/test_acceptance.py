@@ -11,13 +11,14 @@ import pytest
 
 from skeinsolve import (
     Generator,
+    GeometryTag,
     OperatorExpression,
     Partition,
     Q,
     RationalFunction,
     SkeinVector,
+    TEMPLATES,
     Z_BRACKET,
-    c3_template,
     cells,
     closed_form,
     colored_unknot_invariant,
@@ -30,7 +31,6 @@ from skeinsolve import (
     partitions_through,
     solve_monomial_coefficients,
     solve_recursion,
-    unknot_template,
     verify_branching,
 )
 from skeinsolve.ring import Exponent, S, SignedMonomial
@@ -119,11 +119,11 @@ def test_criterion_06_commutator_identity_through_ten():
 
 def test_criterion_07_signed_monomial_coefficients():
     started = time.monotonic()
-    [c3_solution] = solve_monomial_coefficients(c3_template())
+    [c3_solution] = solve_monomial_coefficients(TEMPLATES[GeometryTag.C3])
     assert c3_solution[Generator.P10] == SignedMonomial(-1, Exponent())
     assert c3_solution[Generator.P01] == SignedMonomial(1, Exponent(aL=1, g=1))
 
-    unknot_solutions = solve_monomial_coefficients(unknot_template())
+    unknot_solutions = solve_monomial_coefficients(TEMPLATES[GeometryTag.UNKNOT])
     found = {
         tuple(sorted((gen.value, sm.sign, sm.exponent) for gen, sm in sol.items()))
         for sol in unknot_solutions

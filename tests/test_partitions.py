@@ -97,14 +97,15 @@ def test_cells_empty():
 
 def test_cell_is_an_immutable_value():
     corner, right, below = cells(Partition((2, 1)))
-    assert (corner.arm, corner.leg, corner.coarm, corner.coleg) == (1, 1, 0, 0)
+    assert corner == (1, 1, 1, 1)
     assert corner.hook == 3 and corner.content == 0
     assert (right.row, right.col, right.hook, right.content) == (1, 2, 1, 1)
-    c = Cell(row=2, col=1, arm=0, leg=0, coarm=0, coleg=1)
+    c = Cell(row=2, col=1, arm=0, leg=0)
+    assert len(c) == 4
     assert (c.content, c.hook) == (-1, 1)
     assert c == below
     assert hash(c) == hash(below)
-    assert repr(c) == "Cell(row=2, col=1, arm=0, leg=0, coarm=0, coleg=1)"
+    assert repr(c) == "Cell(row=2, col=1, arm=0, leg=0)"
     with pytest.raises(AttributeError):
         c.row = 1
 
@@ -201,6 +202,17 @@ def test_addable_removable_inverse(n):
             assert (mu.parts, (cell.row, cell.col)) in pairs
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_added_and_removed_boxes_are_corners_of_the_full_diagram(n):
+    # addable_cells and removable_cells build the box without a conjugate;
+    # it must be the very cell that cells() reads off the larger diagram
+    for p in enumerate_partitions(n):
+        for mu, cell in addable_cells(p):
+            assert cell in cells(mu) and (cell.arm, cell.leg) == (0, 0), (p, mu)
+        for lam, cell in removable_cells(p) if n else ():
+            assert cell in cells(p) and (cell.arm, cell.leg) == (0, 0), (p, lam)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_content_polynomial_growth_by_one_box(n):
     # c_mu - c_lambda = q^{content of the added box}
@@ -249,13 +261,11 @@ def test_hookforms_fails_when_a_cyclotomic_factor_is_dropped(monkeypatch):
         return exponents
 
     original.cache_clear()
-    hook_polynomial.cache_clear()
     monkeypatch.setattr(partitions_mod, "hook_denominator", without_phi3)
     try:
         report = run_suite("hookforms", 6)
     finally:
         original.cache_clear()
-        hook_polynomial.cache_clear()
     assert not report.passed
     assert report.first_counterexample.startswith(
         "double formula, partition=(3,2) ")

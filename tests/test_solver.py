@@ -18,9 +18,9 @@ from skeinsolve import (
     RationalFunction,
     S,
     SkeinVector,
+    TEMPLATES,
     Z_BRACKET,
     addable_cells,
-    c3_template,
     closed_form,
     colored_unknot_invariant,
     content_polynomial,
@@ -30,7 +30,6 @@ from skeinsolve import (
     partitions_through,
     solve_monomial_coefficients,
     solve_recursion,
-    unknot_template,
     verify_annihilation,
 )
 from skeinsolve.partitions import BOX, EMPTY
@@ -233,13 +232,13 @@ def test_swap_symmetry_moderate():
 
 
 def test_c3_coefficients_unique():
-    [solution] = solve_monomial_coefficients(c3_template())
+    [solution] = solve_monomial_coefficients(TEMPLATES[GeometryTag.C3])
     assert solution[Generator.P10] == SignedMonomial(-1, Exponent())
     assert solution[Generator.P01] == SignedMonomial(1, Exponent(aL=1, g=1))
 
 
 def test_unknot_coefficients_two_branches():
-    solutions = solve_monomial_coefficients(unknot_template())
+    solutions = solve_monomial_coefficients(TEMPLATES[GeometryTag.UNKNOT])
     as_sets = {
         tuple(sorted((gen.value, sm.sign, sm.exponent) for gen, sm in sol.items()))
         for sol in solutions
@@ -285,13 +284,13 @@ def _assembled(solution) -> OperatorExpression:
 
 def test_solved_operators_annihilate_their_geometries():
     # assembled operators from the solved coefficients match the presets
-    [sol] = solve_monomial_coefficients(c3_template())
+    [sol] = solve_monomial_coefficients(TEMPLATES[GeometryTag.C3])
     geom = geometry("c3")
     op = _assembled(sol)
     assert op.apply(solve_recursion(geom, 3)).is_zero
     assert op == geom.operator
     unknot_ops = {_assembled(sol)
-                  for sol in solve_monomial_coefficients(unknot_template())}
+                  for sol in solve_monomial_coefficients(TEMPLATES[GeometryTag.UNKNOT])}
     assert unknot_ops == {geometry("unknot").operator,
                           geometry("unknot-prime").operator}
 
@@ -359,8 +358,8 @@ def _brute_force_coefficients(template):
 
 
 @pytest.mark.parametrize("template,count", (
-    (c3_template()._replace(exponent_bound=1), 1),
-    (unknot_template()._replace(exponent_bound=1), 2),
+    (TEMPLATES[GeometryTag.C3]._replace(exponent_bound=1), 1),
+    (TEMPLATES[GeometryTag.UNKNOT]._replace(exponent_bound=1), 2),
     (CoefficientTemplate(  # P01 and aL P11 cancel in the box coefficient
         unknowns=(Generator.P10, Generator.P01, Generator.P11),
         psi_box=RationalFunction(0), exponent_bound=1), 36),
@@ -403,7 +402,7 @@ def test_geometry_accepts_enum_and_string():
 
 
 @pytest.mark.parametrize("operator", (
-    UNKNOT_OP - P10_OP + P01_OP @ P01_OP,
+    UNKNOT_OP - P10_OP + P01_OP.compose(P01_OP),
     UNKNOT_OP.scale(2) - P10_OP + P01_OP,
     UNKNOT_OP + P01_OP.scale(AL * G),
 ), ids=("composed-word", "unknot-coefficient", "no-p10"))
