@@ -257,27 +257,9 @@ def hook_denominator(p: Partition) -> Mapping[int, int]:
     return MappingProxyType(out)
 
 
-def verify_branching(mu: Partition) -> bool:
-    """Check the weighted hook-length branching rule for mu exactly:
-
-        c_mu(q) / h_mu(q) == sum over lambda with lambda + box = mu
-                             of 1 / h_lambda(q)
-
-    With E_p = hook_denominator(p) and sigma_p = -(sum of legs), each
-    h_p = q^{sigma_p} Phi^{E_p} / (q - 1)^{|p|}.  Multiplied through by
-    q^{sigma_mu} (q - 1)^{|mu| - 1}, the rule reads
-
-        c_mu (q - 1) / Phi^{E_mu} == sum of q^{sigma_mu - sigma_lambda} / Phi^{E_lambda},
-
-    and multiplied through by Phi^M, M the elementwise max of E_mu and every
-    E_lambda (their lcm), it becomes the polynomial identity
-
-        c_mu (q - 1) Phi^{M - E_mu} == sum of q^{sigma_mu - sigma_lambda} Phi^{M - E_lambda}.
-
-    Every factor multiplied through is a nonzero polynomial, so this holds
-    exactly when the rule does.  Removing the box in row r lowers the leg of
-    the r - 1 cells above it by one, so sigma_mu - sigma_lambda = -(r - 1).
-    """
+def _branching_sides(mu: Partition) -> tuple[LaurentPolynomial, LaurentPolynomial, dict[int, int]]:
+    """The two sides of the polynomial identity that verify_branching
+    compares, and the lcm M of the hook denominators as cyclotomic exponents."""
     if mu.is_empty:
         raise EmptyPartitionError("branching rule needs at least one box")
     own = hook_denominator(mu)
@@ -294,20 +276,43 @@ def verify_branching(mu: Partition) -> bool:
     for exponents, above in removed:
         cofactor = {d: e - exponents.get(d, 0) for d, e in lcm.items()}
         rhs = rhs + monomial(1, s=-2 * above) * cyclotomic_product(cofactor)
+    return lhs, rhs, lcm
+
+
+def verify_branching(mu: Partition) -> bool:
+    """Check the weighted hook-length branching rule for mu exactly:
+
+        c_mu(q) / h_mu(q) == sum over lambda with lambda + box = mu
+                             of 1 / h_lambda(q)
+
+    With E_p = hook_denominator(p) and sigma_p = -(sum of legs), each
+    h_p = q^{sigma_p} Phi^{E_p} / (q - 1)^{|p|}.  Multiplied through by
+    q^{sigma_mu} / (q - 1)^{|mu| - 1}, the rule reads
+
+        c_mu (q - 1) / Phi^{E_mu} == sum of q^{sigma_mu - sigma_lambda} / Phi^{E_lambda},
+
+    and multiplied through by Phi^M, M the elementwise max of E_mu and every
+    E_lambda (their lcm), it becomes the polynomial identity
+
+        c_mu (q - 1) Phi^{M - E_mu} == sum of q^{sigma_mu - sigma_lambda} Phi^{M - E_lambda}.
+
+    Every factor multiplied through is a nonzero polynomial, so this holds
+    exactly when the rule does.  Removing the box in row r lowers the leg of
+    the r - 1 cells above it by one, so sigma_mu - sigma_lambda = -(r - 1).
+    branching_difference reads its value off the same two sides.
+    """
+    lhs, rhs, _ = _branching_sides(mu)
     return lhs == rhs
 
 
-def branching_sum(mu: Partition) -> RationalFunction:
-    """The right-hand side of the branching rule as a rational function."""
-    if mu.is_empty:
-        raise EmptyPartitionError("branching rule needs at least one box")
-    total = RationalFunction(0)
-    for lam, _ in removable_cells(mu):
-        total = total + RationalFunction(1, hook_polynomial(lam))
-    return total
-
-
 def branching_difference(mu: Partition) -> RationalFunction:
-    """c_mu(q) / h_mu(q) minus the branching sum: zero iff the rule holds."""
-    return (RationalFunction(content_polynomial(mu), hook_polynomial(mu))
-            - branching_sum(mu))
+    """c_mu(q) / h_mu(q) minus the branching sum: zero iff the rule holds.
+
+    The two sides of verify_branching's polynomial identity differ by the
+    difference times q^{sigma_mu} Phi^M / (q - 1)^{|mu| - 1}, so dividing
+    that factor back out gives it, in the unique reduced form.
+    """
+    lhs, rhs, lcm = _branching_sides(mu)
+    lcm[1] -= mu.size - 1
+    legs = sum(c.leg for c in cells(mu))
+    return RationalFunction((lhs - rhs) * monomial(1, s=2 * legs), cyclotomic_product(lcm))

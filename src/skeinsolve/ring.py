@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import gcd as _int_gcd
-from typing import Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 
 class DenominatorNotSUnivariateError(ValueError):
@@ -142,12 +142,7 @@ class LaurentPolynomial:
 
     def content(self) -> int:
         """Nonnegative gcd of all integer coefficients (0 for the zero polynomial)."""
-        c = 0
-        for v in self._terms.values():
-            c = _int_gcd(c, v)
-            if c == 1:
-                return 1
-        return c
+        return _list_content(self._terms.values())
 
     def s_range(self) -> tuple[int, int]:
         exps = [e.s for e in self._terms]
@@ -382,7 +377,7 @@ def _dense(piece: dict[int, int]) -> tuple[int, list[int]]:
     return lo, coeffs
 
 
-def _list_content(f: list[int]) -> int:
+def _list_content(f: Iterable[int]) -> int:
     c = 0
     for v in f:
         c = _int_gcd(c, v)

@@ -1,7 +1,7 @@
 """Every public module-level function and class in the package is used by the
 package itself, and every public method and property of a package class by
 the package or the benchmark: a name that only the exports or the tests
-reach is unused API."""
+reach is unused API.  Every name a module imports is also read there."""
 
 import ast
 from pathlib import Path
@@ -72,3 +72,20 @@ def test_every_public_method_is_used_outside_its_definition():
                         and node.name not in _referenced_names(tree, skip=node)):
                     unused.append(f"{name}:{cls.name}.{node.name}")
     assert unused == []
+
+
+def test_every_imported_name_is_read():
+    # a name left imported after its last use is deleted; __future__ imports
+    # switch on features and bind nothing that is read
+    unread = []
+    for path in MODULES:
+        tree = _parse(path)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [f"{path.name}:{bound}" for alias in node.names
+                           if (bound := (alias.asname or alias.name).split(".")[0])
+                           not in read]
+    assert unread == []

@@ -11,7 +11,7 @@ import skeinsolve
 from skeinsolve import solve_recursion
 from skeinsolve.cli import main
 from skeinsolve.serialize import loads_records, skein_vector_from_records
-from skeinsolve.verify import SuiteReport
+from skeinsolve.verify import SuiteReport, run_suite
 
 
 @pytest.fixture(autouse=True)
@@ -245,14 +245,25 @@ def test_verify_all_suites_small(capsys):
         assert "failures=0" in out
 
 
+@pytest.mark.parametrize("suite, checked", [
+    ("recursion", 36), ("branching", 11), ("commutator", 12), ("symmetry", 12),
+    ("annihilation", 3), ("parity", 12), ("hookforms", 24)])
+def test_suite_checks_one_identity_per_item(suite, checked):
+    # p(0..4) = 1, 1, 2, 3, 5: twelve partitions through degree 4, eleven
+    # nonempty; recursion checks each under three geometries, hookforms two
+    # identities each, annihilation one solve per geometry
+    report = run_suite(suite, 4)
+    assert (report.checked, report.failures) == (checked, 0)
+
+
 def test_suite_report_starts_at_zero_and_keeps_the_first_counterexample():
     report = SuiteReport(suite="parity", max_degree=4)
     assert (report.checked, report.failures) == (0, 0)
     assert report.first_counterexample is None and report.passed
     assert report.lines() == ["suite=parity max-degree=4 checked=0 failures=0 pass"]
-    report.record(True, lambda: "not called")
-    report.record(False, lambda: "first")
-    report.record(False, lambda: "second")
+    report.record(None)
+    report.record("first")
+    report.record("second")
     assert (report.checked, report.failures) == (3, 2)
     assert report.lines() == [
         "suite=parity max-degree=4 checked=3 failures=2 FAIL",
@@ -264,7 +275,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
     def failing(name, max_degree=None):
         report = SuiteReport(suite=name, max_degree=0)
-        report.record(False, lambda: "partition=(2,1)")
+        report.record("partition=(2,1)")
         return report
 
     monkeypatch.setattr(cli_mod, "run_suite", failing)

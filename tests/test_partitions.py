@@ -20,7 +20,7 @@ from skeinsolve import (
     verify_branching,
 )
 import skeinsolve.partitions as partitions_mod
-from skeinsolve.partitions import EMPTY, branching_sum, hook_denominator
+from skeinsolve.partitions import EMPTY, branching_difference, hook_denominator
 from skeinsolve.ring import ONE, S, cyclotomic_product, exact_div_s
 from skeinsolve.verify import run_suite
 
@@ -331,7 +331,14 @@ def test_branching_does_not_expand_hook_polynomials(monkeypatch):
         raise AssertionError("hook_polynomial called")
 
     monkeypatch.setattr(partitions_mod, "hook_polynomial", refuse)
-    assert all(verify_branching(mu) for mu in enumerate_partitions(6))
+    through_six = partitions_through(6)[1:]
+    assert all(verify_branching(mu) for mu in through_six)
+    assert all(branching_difference(mu) == 0 for mu in through_six)
+
+
+def _rational_branching_sum(mu):
+    return sum((RationalFunction(1, hook_polynomial(lam)) for lam, _ in removable_cells(mu)),
+               RationalFunction(0))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -339,7 +346,20 @@ def test_branching_agrees_with_rational_sum(n):
     # the polynomial check matches direct rational-function arithmetic
     for mu in enumerate_partitions(n):
         direct = RationalFunction(content_polynomial(mu), hook_polynomial(mu))
-        assert branching_sum(mu) == direct
+        assert _rational_branching_sum(mu) == direct
+
+
+@pytest.mark.parametrize("mutate", [lambda c: c + 1, lambda c: 2 * c],
+                         ids=["plus-one", "doubled"])
+def test_branching_difference_matches_the_rational_difference(monkeypatch, mutate):
+    # with a wrong content polynomial the difference read off the polynomial
+    # identity equals c'_mu / h_mu minus the sum, computed directly
+    content = partitions_mod.content_polynomial
+    monkeypatch.setattr(partitions_mod, "content_polynomial", lambda p: mutate(content(p)))
+    for mu in partitions_through(6)[1:]:
+        direct = (RationalFunction(mutate(content(mu)), hook_polynomial(mu))
+                  - _rational_branching_sum(mu))
+        assert branching_difference(mu) == direct
 
 
 def test_partitions_through_order():
