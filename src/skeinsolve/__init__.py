@@ -51,8 +51,8 @@ from .skein import (
 from .solver import (
     CoefficientTemplate,
     Geometry,
-    GeometryTag,
     NoSolutionError,
+    PRESETS,
     TEMPLATES,
     closed_form,
     colored_unknot_invariant,

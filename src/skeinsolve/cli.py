@@ -30,8 +30,8 @@ from .serialize import (
     skein_vector_records,
 )
 from .solver import (
-    GeometryTag,
     NoSolutionError,
+    PRESETS,
     TEMPLATES,
     closed_form,
     colored_unknot_invariant,
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="solve the annihilation recursion")
     p.add_argument("--geometry", required=True,
-                   choices=[t.value for t in GeometryTag])
+                   choices=PRESETS)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--no-cache", action="store_true",
                    help="recompute even if a cached result exists")
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closed-form",
                        help="hook-content closed form of one coefficient")
     p.add_argument("--geometry", required=True,
-                   choices=[t.value for t in GeometryTag])
+                   choices=PRESETS)
     p.add_argument("--partition", type=_partition_arg, required=True)
     add_format(p)
 
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-coefficients",
                        help="solve for unknown signed-monomial operator coefficients")
-    p.add_argument("--geometry", required=True, choices=[t.value for t in TEMPLATES])
+    p.add_argument("--geometry", required=True, choices=TEMPLATES)
     add_format(p)
 
     return parser
@@ -206,7 +206,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve_coefficients(args) -> int:
     try:
-        solutions = solve_monomial_coefficients(TEMPLATES[GeometryTag(args.geometry)])
+        solutions = solve_monomial_coefficients(TEMPLATES[args.geometry])
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1

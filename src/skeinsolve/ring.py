@@ -584,10 +584,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self._num.is_zero
 
-    @property
-    def is_one(self) -> bool:
-        return self._num.is_one and self._den.is_one
-
     def __bool__(self) -> bool:
         return not self._num.is_zero
 

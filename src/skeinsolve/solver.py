@@ -1,19 +1,20 @@
 """Degree-by-degree solution of the annihilation equations and their
 hook-content closed forms.
 
-Each geometry fixes an operator A built from the torus-curve generators; the
-equation A(psi) = 0 with psi normalized to start at 1 determines psi
-uniquely, one degree at a time: the diagonal part P10 - unknot is invertible
-on every nonempty partition because skein's diagonal_part is a nonzero
-multiple of the content polynomial.  The closed forms are hook-content
-products over the cells of the indexing partition, read off the operator:
-each cell contributes the operator's raising weight over {hook}, and the
-common denominator prod {hook} comes from the cyclotomic hook vector.
+A geometry is a name and the two coefficients x, y of its annihilation
+operator  A = O - P10 + x P01 + y P11,  a skein-valued quantization of its
+mirror curve; PRESETS holds the three named ones.  The equation A(psi) = 0
+with psi normalized to start at 1 determines psi uniquely, one degree at a
+time: the diagonal part P10 - unknot is invertible on every nonempty
+partition because skein's diagonal_part is a nonzero multiple of the
+content polynomial.  The closed forms are hook-content products over the
+cells of the indexing partition: each cell contributes the raising weight
+of x P01 + y P11 over {hook}, and the common denominator prod {hook} comes
+from the cyclotomic hook vector.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import product as _cartesian
 from typing import NamedTuple
 
@@ -34,7 +35,6 @@ from .ring import (
     G,
     LaurentPolynomial,
     RationalFunction,
-    S,
     SignedMonomial,
     ZERO,
     cyclotomic_product,
@@ -59,23 +59,6 @@ class NoSolutionError(Exception):
     """No signed-monomial assignment satisfies the constraints within bounds."""
 
 
-class GeometryTag(Enum):
-    C3 = "c3"
-    UNKNOT = "unknot"
-    UNKNOT_PRIME = "unknot-prime"
-
-
-_OPERATORS = {
-    GeometryTag.C3: UNKNOT_OP - P10_OP + P01_OP.scale(AL * G),
-    GeometryTag.UNKNOT: (UNKNOT_OP - P10_OP
-                         + P01_OP.scale(G * AL * A)
-                         - P11_OP.scale(G * A ** -1)),
-    GeometryTag.UNKNOT_PRIME: (UNKNOT_OP - P10_OP
-                               - P01_OP.scale(G * AL * A ** -1)
-                               + P11_OP.scale(G * A)),
-}
-
-
 class CoefficientTemplate(NamedTuple):
     """Ansatz  unknot + sum of unknowns, constrained by the solution's
     coefficients 1 at the empty partition and psi_box at the box.
@@ -94,57 +77,54 @@ class CoefficientTemplate(NamedTuple):
 
 TEMPLATES = {
     # psi = 1 + g/(q^{1/2} - q^{-1/2}) W_box + ..., the toric brane
-    GeometryTag.C3: CoefficientTemplate(
+    "c3": CoefficientTemplate(
         unknowns=(Generator.P10, Generator.P01),
         psi_box=RationalFunction(G, Z_BRACKET),
     ),
     # psi = 1 + g (a - a^{-1})/(q^{1/2} - q^{-1/2}) W_box + ...
-    GeometryTag.UNKNOT: CoefficientTemplate(
+    "unknot": CoefficientTemplate(
         unknowns=(Generator.P10, Generator.P01, Generator.P11),
         psi_box=RationalFunction(G * (A - A ** -1), Z_BRACKET),
     ),
 }
 
 
-class Geometry:
-    """A geometry tag together with its annihilation operator, which must
-    have the shape  O - P10 + x P01 + y P11  (ValueError otherwise)."""
+class Geometry(NamedTuple):
+    """A geometry's name and the coefficients x, y of its annihilation
+    operator  O - P10 + x P01 + y P11."""
 
-    __slots__ = ("tag", "operator", "_x", "_y")
+    tag: str
+    x: LaurentPolynomial
+    y: LaurentPolynomial
 
-    def __init__(self, tag: GeometryTag, operator: OperatorExpression):
-        coeffs = {word: coeff for coeff, word in operator.terms}
-        x = coeffs.pop((Generator.P01,), ZERO)
-        y = coeffs.pop((Generator.P11,), ZERO)
-        if coeffs != {(Generator.UNKNOT,): 1, (Generator.P10,): -1}:
-            raise ValueError(f"operator {operator} is not of the form "
-                             "O - P10 + x P01 + y P11")
-        self.tag = tag
-        self.operator = operator
-        self._x = x
-        self._y = y
-
-    def __repr__(self) -> str:
-        return f"Geometry(tag={self.tag!r}, operator={self.operator!r})"
+    @property
+    def operator(self) -> OperatorExpression:
+        return UNKNOT_OP - P10_OP + P01_OP.scale(self.x) + P11_OP.scale(self.y)
 
     def raising_weight(self, cell: Cell) -> LaurentPolynomial:
         """Coefficient the operator's raising part x P01 + y P11 attaches to
         an added box, from skein's box weights of P01 and P11."""
-        return (self._x * box_weight(Generator.P01, cell)
-                + self._y * box_weight(Generator.P11, cell))
+        return (self.x * box_weight(Generator.P01, cell)
+                + self.y * box_weight(Generator.P11, cell))
 
 
-def geometry(tag: Geometry | GeometryTag | str) -> Geometry:
-    """The preset geometry of a tag or its name; a Geometry is returned
-    unchanged."""
-    if isinstance(tag, Geometry):
-        return tag
-    if isinstance(tag, str):
-        tag = GeometryTag(tag)
-    return Geometry(tag, _OPERATORS[tag])
+PRESETS = {geom.tag: geom for geom in (
+    Geometry("c3", AL * G, ZERO),
+    Geometry("unknot", G * AL * A, -G * A ** -1),
+    Geometry("unknot-prime", -G * AL * A ** -1, G * A),
+)}
 
 
-def solve_recursion(geom: Geometry | GeometryTag | str, max_degree: int) -> SkeinVector:
+def geometry(g: Geometry | str) -> Geometry:
+    """The preset geometry of a name; a Geometry is returned unchanged."""
+    if isinstance(g, Geometry):
+        return g
+    if g not in PRESETS:
+        raise ValueError(f"unknown geometry {g!r}")
+    return PRESETS[g]
+
+
+def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
     """The unique solution of the geometry's annihilation equation with
     leading coefficient 1, computed through the given degree.
 
@@ -167,7 +147,7 @@ def solve_recursion(geom: Geometry | GeometryTag | str, max_degree: int) -> Skei
     return SkeinVector(coeffs, max_degree)
 
 
-def closed_form(geom: Geometry | GeometryTag | str, p: Partition) -> RationalFunction:
+def closed_form(geom: Geometry | str, p: Partition) -> RationalFunction:
     """Hook-content product for the geometry's coefficient of p, read off
     the operator:
 
@@ -191,29 +171,21 @@ def closed_form(geom: Geometry | GeometryTag | str, p: Partition) -> RationalFun
 
 def colored_unknot_invariant(p: Partition) -> RationalFunction:
     """Skein evaluation of the partition-cable of the standard unknot, the
-    closed form of the primed unknot's operator at g = 1:
+    closed form of the primed unknot with g = 1 in its x and y:
 
         prod over cells of (a q^{c/2} - a^{-1} q^{-c/2}) / {hook}
     """
-    primed = _OPERATORS[GeometryTag.UNKNOT_PRIME]
-    at_g1 = OperatorExpression([(coeff.substitute({"g": 1}), word)
-                                for coeff, word in primed.terms])
-    return closed_form(Geometry(GeometryTag.UNKNOT_PRIME, at_g1), p)
+    primed = PRESETS["unknot-prime"]
+    at_g1 = Geometry("colored-unknot", primed.x.substitute({"g": 1}),
+                     primed.y.substitute({"g": 1}))
+    return closed_form(at_g1, p)
 
 
-def verify_annihilation(geom: Geometry | GeometryTag | str, psi: SkeinVector) -> bool:
+def verify_annihilation(geom: Geometry | str, psi: SkeinVector) -> bool:
     """True iff applying the geometry's operator to psi vanishes in every
     degree up to psi's truncation (terms the truncation cannot determine are
     excluded automatically)."""
     return geometry(geom).operator.apply(psi).is_zero
-
-
-def swap_symmetry_sides(p: Partition) -> tuple[RationalFunction, RationalFunction]:
-    """The plain unknot closed form of p under a -> a^{-1}, q^{1/2} -> -q^{1/2},
-    and the primed closed form of p."""
-    plain = closed_form(GeometryTag.UNKNOT, p)
-    return (plain.substitute({"a": A ** -1, "s": -S}),
-            closed_form(GeometryTag.UNKNOT_PRIME, p))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .partitions import (
     partitions_through,
     verify_branching,
 )
-from .ring import S, monomial
+from .ring import A, S, monomial
 from .skein import (
     OperatorExpression,
     P01_OP,
@@ -31,11 +31,9 @@ from .skein import (
     Z_BRACKET,
 )
 from .solver import (
-    GeometryTag,
+    PRESETS,
     closed_form,
-    geometry,
     solve_recursion,
-    swap_symmetry_sides,
     verify_annihilation,
 )
 
@@ -87,13 +85,12 @@ def run_suite(name: str, max_degree: int | None = None) -> SuiteReport:
 
 
 def _recursion(n: int) -> Iterator[str | None]:
-    for tag in GeometryTag:
-        geom = geometry(tag)
+    for geom in PRESETS.values():
         psi = solve_recursion(geom, n)
         for p in partitions_through(n):
             expected, solved = closed_form(geom, p), psi.coefficient(p)
             yield None if solved == expected else (
-                f"geometry={tag.value} partition=({p}) expected={expected} "
+                f"geometry={geom.tag} partition=({p}) expected={expected} "
                 f"solved={solved} difference={solved - expected}")
 
 
@@ -119,20 +116,22 @@ def _commutator(n: int) -> Iterator[str | None]:
 
 
 def _symmetry(n: int) -> Iterator[str | None]:
+    # the plain unknot under a -> a^{-1}, q^{1/2} -> -q^{1/2} is the primed one
     for p in partitions_through(n):
-        swapped, primed = swap_symmetry_sides(p)
+        swapped = closed_form("unknot", p).substitute({"a": A ** -1, "s": -S})
+        primed = closed_form("unknot-prime", p)
         yield None if swapped == primed else (
             f"partition=({p}) swapped={swapped} primed={primed}")
 
 
 def _annihilation(n: int) -> Iterator[str | None]:
-    for tag in GeometryTag:
-        psi = solve_recursion(tag, n)
-        if verify_annihilation(tag, psi):
+    for geom in PRESETS.values():
+        psi = solve_recursion(geom, n)
+        if verify_annihilation(geom, psi):
             yield None
         else:
-            q, coeff = geometry(tag).operator.apply(psi).items()[0]
-            yield (f"geometry={tag.value} through degree {n} "
+            q, coeff = geom.operator.apply(psi).items()[0]
+            yield (f"geometry={geom.tag} through degree {n} "
                    f"partition=({q}) coefficient={coeff}")
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from skeinsolve import (
     Generator,
-    GeometryTag,
     OperatorExpression,
     Partition,
     Q,
@@ -119,11 +118,11 @@ def test_criterion_06_commutator_identity_through_ten():
 
 def test_criterion_07_signed_monomial_coefficients():
     started = time.monotonic()
-    [c3_solution] = solve_monomial_coefficients(TEMPLATES[GeometryTag.C3])
+    [c3_solution] = solve_monomial_coefficients(TEMPLATES["c3"])
     assert c3_solution[Generator.P10] == SignedMonomial(-1, Exponent())
     assert c3_solution[Generator.P01] == SignedMonomial(1, Exponent(aL=1, g=1))
 
-    unknot_solutions = solve_monomial_coefficients(TEMPLATES[GeometryTag.UNKNOT])
+    unknot_solutions = solve_monomial_coefficients(TEMPLATES["unknot"])
     found = {
         tuple(sorted((gen.value, sm.sign, sm.exponent) for gen, sm in sol.items()))
         for sol in unknot_solutions

@@ -9,7 +9,7 @@ import pytest
 
 import skeinsolve
 from skeinsolve import solve_recursion
-from skeinsolve.cli import main
+from skeinsolve.cli import build_parser, main
 from skeinsolve.serialize import loads_records, skein_vector_from_records
 from skeinsolve.verify import SuiteReport, run_suite
 
@@ -349,20 +349,20 @@ def test_verify_commutator_failure_reports_both_coefficients(capsys, monkeypatch
 
 
 def test_verify_symmetry_failure_reports_both_forms(capsys, monkeypatch):
-    import skeinsolve.solver as solver_mod
-    from skeinsolve import GeometryTag, Partition, RationalFunction
+    import skeinsolve.verify as verify_mod
+    from skeinsolve import Partition, RationalFunction
 
     wrong = Partition([2, 1])
-    closed = solver_mod.closed_form
+    closed = verify_mod.closed_form
 
-    def perturbed(tag, p):
-        value = closed(tag, p)
-        if p == wrong and tag is GeometryTag.UNKNOT_PRIME:
+    def perturbed(geom, p):
+        value = closed(geom, p)
+        if p == wrong and geom == "unknot-prime":
             return value + RationalFunction(1, 3)
         return value
 
-    monkeypatch.setattr(solver_mod, "closed_form", perturbed)
-    primed = closed(GeometryTag.UNKNOT_PRIME, wrong)
+    monkeypatch.setattr(verify_mod, "closed_form", perturbed)
+    primed = closed("unknot-prime", wrong)
     assert _failing_report(capsys, "symmetry") == (
         f"first counterexample: partition=(2,1) swapped={primed} "
         f"primed={primed + RationalFunction(1, 3)}")
@@ -437,6 +437,23 @@ def test_usage_error_missing_command(capsys):
 def test_usage_error_bad_geometry(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["psi", "--geometry", "wrong", "--max-degree", "1"])
+    assert exc.value.code == 2
+
+
+def _geometry_choices(command):
+    [subparsers] = build_parser()._subparsers._group_actions
+    [action] = [a for a in subparsers.choices[command]._actions
+                if a.dest == "geometry"]
+    return list(action.choices)
+
+
+def test_geometry_names_at_the_cli(capsys):
+    assert _geometry_choices("psi") == ["c3", "unknot", "unknot-prime"]
+    assert _geometry_choices("closed-form") == ["c3", "unknot", "unknot-prime"]
+    assert _geometry_choices("solve-coefficients") == ["c3", "unknot"]
+    assert set(skeinsolve.TEMPLATES) <= set(skeinsolve.PRESETS)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-coefficients", "--geometry", "unknot-prime"])
     assert exc.value.code == 2
 
 

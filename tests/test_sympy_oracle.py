@@ -14,15 +14,11 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings  # noqa: E402
 
 from skeinsolve import (  # noqa: E402
-    Generator,
-    Geometry,
-    GeometryTag,
-    OperatorExpression,
+    PRESETS,
     RationalFunction,
     closed_form,
     colored_unknot_invariant,
     gcd_s,
-    geometry,
     monomial,
     solve_recursion,
 )
@@ -174,19 +170,17 @@ def test_recursion_matches_sympy_hook_content_product(geom):
 
 
 def _sign_flips():
-    """Each preset with one P01 or P11 coefficient of its operator negated."""
-    for tag in GeometryTag:
-        terms = geometry(tag).operator.terms
-        for i, (_, word) in enumerate(terms):
-            if word in ((Generator.P01,), (Generator.P11,)):
-                flipped = [(-coeff if j == i else coeff, w)
-                           for j, (coeff, w) in enumerate(terms)]
-                yield pytest.param(tag.value, OperatorExpression(flipped),
-                                   id=f"{tag.value}-{word[0].value}")
+    """Each preset with its nonzero P01 or P11 coefficient, x or y, negated."""
+    for name, geom in PRESETS.items():
+        for field, word in (("x", "P01"), ("y", "P11")):
+            coeff = getattr(geom, field)
+            if not coeff.is_zero:
+                yield pytest.param(name, geom._replace(**{field: -coeff}),
+                                   id=f"{name}-{word}")
 
 
-@pytest.mark.parametrize("geom,operator", _sign_flips())
-def test_sympy_hook_content_product_rejects_a_sign_flip(geom, operator):
-    psi = solve_recursion(Geometry(GeometryTag(geom), operator), 3)
+@pytest.mark.parametrize("geom,flipped", _sign_flips())
+def test_sympy_hook_content_product_rejects_a_sign_flip(geom, flipped):
+    psi = solve_recursion(flipped, 3)
     with pytest.raises(AssertionError):
         _assert_hook_content_product(geom, 3, psi.coefficient)
