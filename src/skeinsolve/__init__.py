@@ -7,7 +7,6 @@ from .ring import (
     DenominatorNotSUnivariateError,
     Exponent,
     G,
-    IllegalSubstitutionError,
     LaurentPolynomial,
     ONE,
     Q,

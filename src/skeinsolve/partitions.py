@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import cache, reduce
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .ring import (
     LaurentPolynomial,
@@ -143,26 +143,17 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return (EMPTY,)
-    out = []
-    parts = [n]
-    while True:
-        out.append(Partition(parts))
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            break
-        free = len(parts) - i  # the decremented box plus all trailing ones
-        parts[i] -= 1
-        del parts[i + 1:]
-        cap = parts[i]
-        while free > 0:
-            take = min(cap, free)
-            parts.append(take)
-            free -= take
-    return tuple(out)
+    return tuple(Partition(parts) for parts in _descending(n, n))
+
+
+def _descending(left: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Parts of the partitions of left with no part above cap, largest
+    first part first."""
+    if left == 0:
+        yield ()
+    for first in range(min(left, cap), 0, -1):
+        for rest in _descending(left - first, first):
+            yield (first, *rest)
 
 
 def partitions_through(n: int) -> list[Partition]:

@@ -20,10 +20,6 @@ class DenominatorNotSUnivariateError(ValueError):
     """A denominator would involve a variable other than s."""
 
 
-class IllegalSubstitutionError(ValueError):
-    """A substitution would make a denominator non-univariate in s."""
-
-
 class Exponent(NamedTuple):
     """Integer exponent vector of a monomial s^s_exp a^a_exp aL^aL_exp g^g_exp."""
 
@@ -94,14 +90,15 @@ def _term_str(exp: Exponent, coeff: int) -> str:
     return str(coeff) + body
 
 
-PolyLike = Union["LaurentPolynomial", "SignedMonomial", int]
+PolyLike = Union["LaurentPolynomial", int]
 
 
 class LaurentPolynomial:
     """Laurent polynomial in s, a, aL, g with integer coefficients.
 
     Stored as a canonical term map Exponent -> coefficient with no zero
-    coefficients; two polynomials are equal iff their term maps are equal.
+    coefficients, which the constructor drops; two polynomials are equal iff
+    their term maps are equal.  Arithmetic accepts polynomials and ints.
     Instances are immutable: all operations return new polynomials.
     """
 
@@ -111,10 +108,6 @@ class LaurentPolynomial:
         self._terms = {e: c for e, c in terms.items() if c} if terms else {}
 
     # -- basic views ---------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Exponent, int]:
-        return dict(self._terms)
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         """Terms sorted ascending by (s, a, aL, g) exponent order."""
@@ -154,8 +147,6 @@ class LaurentPolynomial:
     def _coerce(x: PolyLike) -> "LaurentPolynomial":
         if isinstance(x, LaurentPolynomial):
             return x
-        if isinstance(x, SignedMonomial):
-            return x.to_polynomial()
         if isinstance(x, int):
             return LaurentPolynomial({ZERO_EXP: x})
         return NotImplemented
@@ -271,14 +262,8 @@ class LaurentPolynomial:
                 exp = _exp_add(exp, _exp_scale(sm.exponent, k))
                 if sm.sign < 0 and k % 2:
                     coeff = -coeff
-            new = out.get(exp, 0) + coeff
-            if new:
-                out[exp] = new
-            elif exp in out:
-                del out[exp]
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = out
-        return result
+            out[exp] = out.get(exp, 0) + coeff
+        return LaurentPolynomial(out)
 
     # -- rendering -------------------------------------------------------
 
@@ -533,12 +518,14 @@ def cyclotomic_product(exponents: Mapping[int, int]) -> LaurentPolynomial:
 # ---------------------------------------------------------------------------
 
 
-RationalLike = Union["RationalFunction", LaurentPolynomial, SignedMonomial, int]
+RationalLike = Union["RationalFunction", LaurentPolynomial, int]
 
 
 class RationalFunction:
     """Reduced quotient of Laurent polynomials whose denominator involves only s.
 
+    Numerator and denominator are Laurent polynomials or ints, and so are
+    the operands of the arithmetic besides rational functions.
     On construction the denominator is normalized (unit monomial factors move
     into the numerator; no negative s-powers; nonzero constant term; positive
     leading coefficient) and the fraction is reduced: numerator and
@@ -562,7 +549,7 @@ class RationalFunction:
         den = LaurentPolynomial._coerce(denominator)
         if num is NotImplemented or den is NotImplemented:
             raise TypeError("numerator and denominator must be Laurent "
-                            "polynomials, signed monomials or ints")
+                            "polynomials or ints")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
@@ -648,7 +635,7 @@ class RationalFunction:
         return _coerce_rf(other) / self
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, LaurentPolynomial, SignedMonomial)):
+        if isinstance(other, (int, LaurentPolynomial)):
             other = _coerce_rf(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -660,13 +647,9 @@ class RationalFunction:
     # -- substitution ----------------------------------------------------
 
     def substitute(self, images: Mapping[str, PolyLike]) -> "RationalFunction":
-        """Apply a signed-monomial substitution to numerator and denominator."""
-        num = self._num.substitute(images)
-        den = self._den.substitute(images)
-        try:
-            return RationalFunction(num, den)
-        except DenominatorNotSUnivariateError as exc:
-            raise IllegalSubstitutionError(str(exc)) from exc
+        """Apply a signed-monomial substitution to numerator and denominator;
+        DenominatorNotSUnivariateError if the denominator's image leaves s."""
+        return RationalFunction(self._num.substitute(images), self._den.substitute(images))
 
     def __str__(self) -> str:
         if self._den.is_one:
@@ -683,7 +666,7 @@ class RationalFunction:
 def _coerce_rf(x: RationalLike) -> RationalFunction:
     if isinstance(x, RationalFunction):
         return x
-    if isinstance(x, (LaurentPolynomial, SignedMonomial, int)):
+    if isinstance(x, (LaurentPolynomial, int)):
         return _new_rf(LaurentPolynomial._coerce(x), ONE)
     return NotImplemented
 

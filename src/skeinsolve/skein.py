@@ -20,7 +20,7 @@ independent cross-check.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .partitions import (
     Cell,
@@ -34,8 +34,9 @@ from .ring import (
     LaurentPolynomial,
     ONE,
     RationalFunction,
+    RationalLike,
     S,
-    SignedMonomial,
+    ZERO,
     monomial,
 )
 
@@ -52,36 +53,35 @@ Z_BRACKET = S - S ** -1
 #: Standard framed-unknot scalar.
 UNKNOT_VALUE = RationalFunction(AL - AL ** -1, Z_BRACKET)
 
-ScalarLike = Union[RationalFunction, LaurentPolynomial, SignedMonomial, int]
-
 
 class SkeinVector:
     """Finite graded vector: partition -> rational-function coefficient.
 
-    Zero coefficients are never stored, every stored partition has size at
-    most max_degree, and all operations are pure.
+    The constructor is the one place coefficients are normalized: it makes
+    each one a RationalFunction and drops the zeros, so operations hand it
+    their raw sums.  Every stored partition has size at most max_degree,
+    and all operations are pure.
     """
 
     __slots__ = ("_coeffs", "_max_degree")
 
-    def __init__(self, coeffs: Mapping[Partition, ScalarLike] | None, max_degree: int):
+    def __init__(self, coeffs: Mapping[Partition, RationalLike], max_degree: int):
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         clean: dict[Partition, RationalFunction] = {}
-        if coeffs:
-            for p, val in coeffs.items():
-                if p.size > max_degree:
-                    raise ValueError(
-                        f"partition {p.parts} exceeds max_degree {max_degree}")
-                rf = val if isinstance(val, RationalFunction) else RationalFunction(val)
-                if not rf.is_zero:
-                    clean[p] = rf
+        for p, val in coeffs.items():
+            if p.size > max_degree:
+                raise ValueError(
+                    f"partition {p.parts} exceeds max_degree {max_degree}")
+            rf = val if isinstance(val, RationalFunction) else RationalFunction(val)
+            if not rf.is_zero:
+                clean[p] = rf
         self._coeffs = clean
         self._max_degree = max_degree
 
     @classmethod
     def zero(cls, max_degree: int) -> "SkeinVector":
-        return cls(None, max_degree)
+        return cls({}, max_degree)
 
     @classmethod
     def basis(cls, p: Partition, max_degree: int | None = None) -> "SkeinVector":
@@ -115,11 +115,7 @@ class SkeinVector:
             raise ValueError("cannot add skein vectors with different truncations")
         out = dict(self._coeffs)
         for p, v in other._coeffs.items():
-            new = out.get(p, RationalFunction(0)) + v
-            if new.is_zero:
-                out.pop(p, None)
-            else:
-                out[p] = new
+            out[p] = out[p] + v if p in out else v
         return SkeinVector(out, self._max_degree)
 
     def __neg__(self) -> "SkeinVector":
@@ -130,10 +126,8 @@ class SkeinVector:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, c: ScalarLike) -> "SkeinVector":
+    def scale(self, c: RationalLike) -> "SkeinVector":
         rf = c if isinstance(c, RationalFunction) else RationalFunction(c)
-        if rf.is_zero:
-            return SkeinVector.zero(self._max_degree)
         return SkeinVector({p: v * rf for p, v in self._coeffs.items()}, self._max_degree)
 
     def __eq__(self, other: object) -> bool:
@@ -145,13 +139,9 @@ class SkeinVector:
             return False
         return all(v == other._coeffs[p] for p, v in self._coeffs.items())
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return "; ".join(f"[{p}] {v}" for p, v in self.items())
-
     def __repr__(self) -> str:
-        return f"SkeinVector({str(self)!r}, max_degree={self._max_degree})"
+        body = "; ".join(f"[{p}] {v}" for p, v in self.items()) or "0"
+        return f"SkeinVector({body!r}, max_degree={self._max_degree})"
 
 
 def diagonal_part(p: Partition) -> LaurentPolynomial:
@@ -188,12 +178,7 @@ def _apply_raising(v: SkeinVector, gen: Generator) -> SkeinVector:
             continue  # truncated
         for mu, cell in addable_cells(p):
             term = coeff * box_weight(gen, cell)
-            prev = out.get(mu)
-            new = term if prev is None else prev + term
-            if new.is_zero:
-                out.pop(mu, None)
-            else:
-                out[mu] = new
+            out[mu] = out[mu] + term if mu in out else term
     return SkeinVector(out, v.max_degree)
 
 
@@ -230,15 +215,10 @@ class OperatorExpression:
             if coeff is NotImplemented:
                 raise TypeError("operator coefficients must be Laurent polynomials")
             word = tuple(word)
-            acc = collected.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero:
-                collected.pop(word, None)
-            else:
-                collected[word] = acc
+            collected[word] = collected.get(word, ZERO) + coeff
         self._terms = tuple(
             sorted(
-                ((c, w) for w, c in collected.items()),
+                ((c, w) for w, c in collected.items() if not c.is_zero),
                 key=lambda t: (len(t[1]), tuple(g.value for g in t[1])),
             )
         )
@@ -246,10 +226,6 @@ class OperatorExpression:
     @classmethod
     def generator(cls, gen: Generator) -> "OperatorExpression":
         return cls([(1, (gen,))])
-
-    @property
-    def terms(self) -> tuple[tuple[LaurentPolynomial, tuple[Generator, ...]], ...]:
-        return self._terms
 
     def __add__(self, other: "OperatorExpression") -> "OperatorExpression":
         if not isinstance(other, OperatorExpression):

@@ -9,6 +9,7 @@ import pytest
 
 import skeinsolve
 from skeinsolve import solve_recursion
+from skeinsolve.cache import default_cache_dir
 from skeinsolve.cli import build_parser, main
 from skeinsolve.serialize import loads_records, skein_vector_from_records
 from skeinsolve.verify import SuiteReport, run_suite
@@ -222,6 +223,20 @@ def test_unusable_cache_dir_warns_and_still_answers(capsys, tmp_path, monkeypatc
     assert code == 0
     assert out == run_cli(capsys, *args, "--no-cache")[1]
     assert len(err.splitlines()) == 1 and err.startswith("warning:")
+
+
+@pytest.mark.parametrize("names,expected", (
+    (("SKEINSOLVE_CACHE_DIR", "XDG_CACHE_HOME"), "SKEINSOLVE_CACHE_DIR"),
+    (("XDG_CACHE_HOME",), "XDG_CACHE_HOME/skeinsolve"),
+    ((), "HOME/.cache/skeinsolve"),
+), ids=("own-variable", "xdg", "home"))
+def test_default_cache_dir_reads_the_environment(tmp_path, monkeypatch, names, expected):
+    monkeypatch.delenv("SKEINSOLVE_CACHE_DIR")
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path / "HOME"))
+    for name in names:
+        monkeypatch.setenv(name, str(tmp_path / name))
+    assert default_cache_dir() == tmp_path / expected
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from skeinsolve import (
     AL,
     DenominatorNotSUnivariateError,
     G,
-    IllegalSubstitutionError,
     LaurentPolynomial,
     ONE,
     Q,
@@ -83,18 +82,18 @@ def test_mul_commutes(f, g):
 def _product_by_single_terms(f, g):
     # a sum of one-term products, each built without __mul__
     total = ZERO
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+    for e1, c1 in f.sorted_terms():
+        for e2, c2 in g.sorted_terms():
             total = total + monomial(c1 * c2, *(x + y for x, y in zip(e1, e2)))
     return total
 
 
 def _assert_product_terms(f, g):
-    got = (f * g).terms
+    got = dict((f * g).sorted_terms())
     # tuple and Exponent keys compare equal, so check the key type itself
     assert all(type(key) is Exponent for key in got)
     assert 0 not in got.values()
-    assert got == _product_by_single_terms(f, g).terms
+    assert got == dict(_product_by_single_terms(f, g).sorted_terms())
 
 
 @given(laurent_polynomials(), laurent_polynomials())
@@ -105,7 +104,7 @@ def test_mul_term_map_matches_single_term_products(f, g):
 def test_mul_cross_terms_cancel():
     # (s + a)(s - a) = s^2 - a^2: both cross terms cancel to zero
     _assert_product_terms(S + A, S - A)
-    assert ((S + A) * (S - A)).terms == {Exponent(s=2): 1, Exponent(a=2): -1}
+    assert ((S + A) * (S - A)).sorted_terms() == [(Exponent(a=2), -1), (Exponent(s=2), 1)]
 
 
 def test_negative_power_of_monomial_only():
@@ -116,7 +115,7 @@ def test_negative_power_of_monomial_only():
 
 def test_canonical_form_drops_zeros():
     f = LaurentPolynomial({Exponent(s=1): 1, Exponent(s=2): 0})
-    assert f.terms == {Exponent(s=1): 1}
+    assert f.sorted_terms() == [(Exponent(s=1), 1)]
     assert (f - f).is_zero
 
 
@@ -325,7 +324,7 @@ def _ref_exact_div(f, d):
 
 def _dense_s(f):
     """(lo, ascending coefficients) of an s-only polynomial."""
-    terms = {e.s: c for e, c in f.terms.items()}
+    terms = {e.s: c for e, c in f.sorted_terms()}
     lo = min(terms)
     return lo, [terms.get(k, 0) for k in range(lo, max(terms) + 1)]
 
@@ -333,7 +332,7 @@ def _dense_s(f):
 def _ref_exact_div_s(f, d):
     shift, dc = _dense_s(d)
     slices = {}
-    for e, c in f.terms.items():
+    for e, c in f.sorted_terms():
         slices.setdefault((e.a, e.aL, e.g), {})[e.s] = c
     out = {}
     for (a, aL, g), piece in slices.items():
@@ -410,8 +409,10 @@ def test_rf_division_by_zero():
 
 
 @pytest.mark.parametrize("args", [(1.5,), ("x",), (1, None),
-                                  (RationalFunction(S),), (1, RationalFunction(S))],
-                         ids=["float", "str", "none", "rf-numerator", "rf-denominator"])
+                                  (RationalFunction(S),), (1, RationalFunction(S)),
+                                  (SignedMonomial(1, Exponent(s=1)),)],
+                         ids=["float", "str", "none", "rf-numerator", "rf-denominator",
+                              "signed-monomial"])
 def test_rf_rejects_arguments_that_are_not_polynomials(args):
     with pytest.raises(TypeError):
         RationalFunction(*args)
@@ -427,7 +428,7 @@ def test_rf_denominator_must_be_s_univariate():
 def test_rf_unit_denominators_are_folded():
     # monomial factors in the denominator move into the numerator
     x = RationalFunction(1, AL * Z)
-    assert all(e.a == e.aL == e.g == 0 for e in x.denominator.terms)
+    assert all(e.a == e.aL == e.g == 0 for e, _ in x.denominator.sorted_terms())
     assert x == RationalFunction(AL ** -1, Z)
 
 
@@ -493,8 +494,8 @@ def test_rf_denominator_invariants():
     den = x.denominator
     lo, hi = den.s_range()
     assert lo >= 0
-    assert den.terms.get(Exponent(), 0) != 0
-    assert max(den.terms.items())[1] > 0
+    assert den.sorted_terms()[0][0] == Exponent()
+    assert den.sorted_terms()[-1][1] > 0
     assert den.content() == 1
     assert x == RationalFunction(G * Q, Q - 1)
 
@@ -508,7 +509,7 @@ def test_rf_residual_integer_denominator():
 
 
 def _term_maps(x):
-    return x.numerator.terms, x.denominator.terms
+    return dict(x.numerator.sorted_terms()), dict(x.denominator.sorted_terms())
 
 
 def _assert_constructor_form(got, num, den):
@@ -591,7 +592,7 @@ def test_substitute_fixes_unknot_coefficient():
 
 def test_substitute_illegal_when_denominator_leaves_s():
     x = RationalFunction(1, Z)
-    with pytest.raises(IllegalSubstitutionError):
+    with pytest.raises(DenominatorNotSUnivariateError):
         x.substitute({"s": A})
 
 

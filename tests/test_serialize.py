@@ -54,7 +54,7 @@ def test_poly_from_records_is_canonical_in_any_order(p, rnd):
 def test_poly_from_records_drops_zero_terms():
     one = {"s": 1, "a": 0, "aL": 0, "g": 0}
     p = poly_from_records([dict(one, s=0, c="0"), dict(one, c="-1")])
-    assert p.terms == {Exponent(s=1): -1}
+    assert p.sorted_terms() == [(Exponent(s=1), -1)]
 
 
 def test_poly_from_records_rejects_a_repeated_exponent():
@@ -78,8 +78,8 @@ def test_read_back_wraps_records_without_reducing(geometry, monkeypatch):
     assert back == psi
     for p, coeff in psi.items():
         read = back.coefficient(p)
-        assert read.numerator.terms == coeff.numerator.terms
-        assert read.denominator.terms == coeff.denominator.terms
+        assert read.numerator.sorted_terms() == coeff.numerator.sorted_terms()
+        assert read.denominator.sorted_terms() == coeff.denominator.sorted_terms()
         assert str(read) == str(coeff)
 
 

@@ -318,7 +318,7 @@ _POINT = (3, 5, 7, 11)  # s, a, aL, g
 def _poly_mod_prime(f) -> int:
     """f at _POINT in GF(_PRIME), summed over its term map."""
     return sum(c * math.prod(pow(v, k, _PRIME) for v, k in zip(_POINT, e))
-               for e, c in f.terms.items()) % _PRIME
+               for e, c in f.sorted_terms()) % _PRIME
 
 
 def _mod_prime(x) -> int:
@@ -365,7 +365,18 @@ def _brute_force_coefficients(template):
     (CoefficientTemplate(
         unknowns=(Generator.P10, Generator.P01), psi_box=RationalFunction(0),
         exponent_bound=1), 0),
-), ids=("c3", "unknot", "cancelling-pair", "no-box-term"))
+    # no unknown enters the empty coefficient, so the unknot's term is left
+    (CoefficientTemplate(
+        unknowns=(Generator.P01,), psi_box=RationalFunction(G, Z_BRACKET),
+        exponent_bound=1), 0),
+    # no unknown is left for the box coefficient: it vanishes or it does not
+    (CoefficientTemplate(
+        unknowns=(Generator.P10,), psi_box=RationalFunction(G, Z_BRACKET),
+        exponent_bound=1), 0),
+    (CoefficientTemplate(
+        unknowns=(Generator.P10,), psi_box=RationalFunction(0), exponent_bound=1), 1),
+), ids=("c3", "unknot", "cancelling-pair", "no-box-term", "p01-misses-empty",
+        "p10-box-left", "p10-box-zero"))
 def test_coefficients_match_brute_force(template, count):
     expected = _brute_force_coefficients(template)
     assert len(expected) == count
