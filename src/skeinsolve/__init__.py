@@ -56,6 +56,7 @@ from .solver import (
     closed_form,
     colored_unknot_invariant,
     geometry,
+    hook_content_vector,
     solve_monomial_coefficients,
     solve_recursion,
     verify_annihilation,

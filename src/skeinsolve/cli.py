@@ -36,8 +36,8 @@ from .solver import (
     closed_form,
     colored_unknot_invariant,
     geometry,
+    hook_content_vector,
     solve_monomial_coefficients,
-    solve_recursion,
 )
 from .verify import SUITES, run_suite
 
@@ -150,7 +150,7 @@ def _cmd_hook_poly(args) -> int:
 
 def _psi_records_text(geom_name: str, max_degree: int) -> str:
     geom = geometry(geom_name)
-    psi = solve_recursion(geom, max_degree)
+    psi = hook_content_vector(geom, max_degree)
     return dumps_records(skein_vector_records(
         psi, geometry=geom_name, operator=str(geom.operator)))
 

@@ -238,13 +238,17 @@ class LaurentPolynomial:
         """Ring endomorphism mapping each named variable to a signed monomial.
 
         Every image must be a single Laurent monomial with coefficient +1
-        or -1, e.g. ``{"a": A**-1, "s": -S}``.
+        or -1, e.g. ``{"a": A**-1, "s": -S}``: ValueError if it is another
+        polynomial or int, TypeError if it is neither.
         """
         monomials: dict[str, SignedMonomial] = {}
         for name, img in images.items():
             if name not in VARIABLES:
                 raise ValueError(f"unknown variable {name!r}")
-            sm = self._coerce(img).as_signed_monomial()
+            poly = self._coerce(img)
+            if poly is NotImplemented:
+                raise TypeError(f"image of {name} must be a Laurent polynomial or int")
+            sm = poly.as_signed_monomial()
             if sm is None:
                 raise ValueError(f"image of {name} must be a signed monomial")
             monomials[name] = sm

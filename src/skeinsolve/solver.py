@@ -7,16 +7,19 @@ mirror curve; PRESETS holds the three named ones.  The equation A(psi) = 0
 with psi normalized to start at 1 determines psi uniquely, one degree at a
 time: the diagonal part P10 - unknot is invertible on every nonempty
 partition because skein's diagonal_part is a nonzero multiple of the
-content polynomial.  The closed forms are hook-content products over the
-cells of the indexing partition: each cell contributes the raising weight
-of x P01 + y P11 over {hook}, and the common denominator prod {hook} comes
-from the cyclotomic hook vector.
+content polynomial.  solve_recursion solves it that way.  Its solution is
+the hook-content product over the cells of the indexing partition: each
+cell contributes the raising weight of x P01 + y P11 over {hook}, and the
+common denominator prod {hook} comes from the cyclotomic hook vector.
+closed_form is that product for one partition; hook_content_vector grows it
+box by box over every partition through a degree, which is what psi prints,
+and the recursion is its check.
 """
 
 from __future__ import annotations
 
 from itertools import product as _cartesian
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .partitions import (
     BOX,
@@ -34,10 +37,12 @@ from .ring import (
     Exponent,
     G,
     LaurentPolynomial,
+    ONE,
     RationalFunction,
     SignedMonomial,
     ZERO,
     cyclotomic_product,
+    exact_div_s,
     monomial,
     monomial_ratio,
 )
@@ -124,6 +129,27 @@ def geometry(g: Geometry | str) -> Geometry:
     return PRESETS[g]
 
 
+def _weights_by_content(geom: Geometry) -> Callable[[Cell], LaurentPolynomial]:
+    """geom.raising_weight, computed once per content: the weight depends on
+    a cell only through its content."""
+    weights: dict[int, LaurentPolynomial] = {}
+
+    def weight(cell: Cell) -> LaurentPolynomial:
+        w = weights.get(cell.content)
+        if w is None:
+            w = weights[cell.content] = geom.raising_weight(cell)
+        return w
+
+    return weight
+
+
+def _hook_minus_content(p: Partition) -> int:
+    """Sum of hook - content over the cells: the power of s that the
+    brackets {hook} = s^{-hook} (q^{hook} - 1) and the factors q^{-c/2} of
+    the hook-content product leave in its numerator."""
+    return sum(c.hook - c.content for c in cells(p))
+
+
 def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
     """The unique solution of the geometry's annihilation equation with
     leading coefficient 1, computed through the given degree.
@@ -137,13 +163,54 @@ def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     geom = geometry(geom)
+    weight = _weights_by_content(geom)
     coeffs: dict[Partition, RationalFunction] = {EMPTY: RationalFunction(1)}
     for degree in range(1, max_degree + 1):
         for mu in enumerate_partitions(degree):
             total = RationalFunction(0)
             for lam, cell in removable_cells(mu):
-                total = total + coeffs[lam] * geom.raising_weight(cell)
+                total = total + coeffs[lam] * weight(cell)
             coeffs[mu] = total / diagonal_part(mu)
+    return SkeinVector(coeffs, max_degree)
+
+
+def hook_content_vector(geom: Geometry | str, max_degree: int) -> SkeinVector:
+    """The closed form of every coefficient through the given degree, grown
+    box by box; it equals solve_recursion's solution.
+
+    Each mu extends the first lambda of removable_cells(mu) by its box.  The
+    product's unreduced numerator top and hook denominator H are carried
+    along that chain:
+
+        top_mu = top_lambda raising_weight(box) s^{sigma_mu - sigma_lambda} aL^{-1},
+        H_mu   = H_lambda Phi^{(E_mu - E_lambda)^+} / Phi^{(E_mu - E_lambda)^-},
+
+    with sigma the sum of hook - content and E = hook_denominator, and
+    psi_mu = top_mu / H_mu is reduced once, so a weight that shares a factor
+    with H is still cancelled.  Only the previous degree's (top, H) pairs
+    are kept.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    geom = geometry(geom)
+    weight = _weights_by_content(geom)
+    coeffs: dict[Partition, RationalFunction] = {EMPTY: RationalFunction(1)}
+    grown = {EMPTY: (ONE, ONE)}
+    for degree in range(1, max_degree + 1):
+        previous, grown = grown, {}
+        for mu in enumerate_partitions(degree):
+            lam, box = removable_cells(mu)[0]
+            top, den = previous[lam]
+            shift = _hook_minus_content(mu) - _hook_minus_content(lam)
+            top = top * (weight(box) * monomial(1, s=shift, aL=-1))
+            change = dict(hook_denominator(mu))
+            for d, e in hook_denominator(lam).items():
+                change[d] = change.get(d, 0) - e
+            den = exact_div_s(
+                den * cyclotomic_product({d: e for d, e in change.items() if e > 0}),
+                cyclotomic_product({d: -e for d, e in change.items() if e < 0}))
+            grown[mu] = top, den
+            coeffs[mu] = RationalFunction(top, den)
     return SkeinVector(coeffs, max_degree)
 
 
@@ -163,9 +230,10 @@ def closed_form(geom: Geometry | str, p: Partition) -> RationalFunction:
     reduced once.
     """
     geom = geometry(geom)
-    top = monomial(1, s=sum(c.hook - c.content for c in cells(p)), aL=-p.size)
+    weight = _weights_by_content(geom)
+    top = monomial(1, s=_hook_minus_content(p), aL=-p.size)
     for c in cells(p):
-        top = top * geom.raising_weight(c)
+        top = top * weight(c)
     return RationalFunction(top, cyclotomic_product(hook_denominator(p)))
 
 

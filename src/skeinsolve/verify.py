@@ -33,6 +33,7 @@ from .skein import (
 from .solver import (
     PRESETS,
     closed_form,
+    hook_content_vector,
     solve_recursion,
     verify_annihilation,
 )
@@ -86,9 +87,9 @@ def run_suite(name: str, max_degree: int | None = None) -> SuiteReport:
 
 def _recursion(n: int) -> Iterator[str | None]:
     for geom in PRESETS.values():
-        psi = solve_recursion(geom, n)
+        psi, grown = solve_recursion(geom, n), hook_content_vector(geom, n)
         for p in partitions_through(n):
-            expected, solved = closed_form(geom, p), psi.coefficient(p)
+            expected, solved = grown.coefficient(p), psi.coefficient(p)
             yield None if solved == expected else (
                 f"geometry={geom.tag} partition=({p}) expected={expected} "
                 f"solved={solved} difference={solved - expected}")

@@ -302,23 +302,23 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 def test_verify_recursion_failure_reports_both_values(capsys, monkeypatch):
     import skeinsolve.verify as verify_mod
-    from skeinsolve import Partition, RationalFunction
+    from skeinsolve import Partition, RationalFunction, SkeinVector
 
     wrong = Partition([2, 1])
-    closed_form = verify_mod.closed_form
+    hook_content_vector = verify_mod.hook_content_vector
 
-    def perturbed(tag, p):
-        value = closed_form(tag, p)
-        return value + RationalFunction(1, 3) if p == wrong else value
+    def perturbed(tag, n):
+        value = hook_content_vector(tag, n)
+        return value + SkeinVector({wrong: RationalFunction(1, 3)}, n)
 
-    monkeypatch.setattr(verify_mod, "closed_form", perturbed)
+    monkeypatch.setattr(verify_mod, "hook_content_vector", perturbed)
     code, out, _ = run_cli(capsys, "verify", "--suite", "recursion",
                            "--max-degree", "3")
     assert code == 1
     lines = out.splitlines()
     assert lines[0].endswith("failures=3 FAIL")
     solved = solve_recursion("c3", 3).coefficient(wrong)
-    expected = closed_form("c3", wrong) + RationalFunction(1, 3)
+    expected = hook_content_vector("c3", 3).coefficient(wrong) + RationalFunction(1, 3)
     assert lines[1] == (
         f"first counterexample: geometry=c3 partition=(2,1) expected={expected} "
         f"solved={solved} difference=-1/(3)")
@@ -506,6 +506,25 @@ def test_psi_records_golden_bytes(capsys, geom):
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_PSI_RECORDS_SHA256[geom]
+
+
+# sha256 of `psi --geometry G --max-degree 8 --no-cache --format text` as
+# produced when psi still solved the recursion; the box-by-box hook-content
+# product must keep these bytes.
+GOLDEN_PSI_TEXT_SHA256 = {
+    "c3": "96ffe921b13cb28005bf672a104b7c0f123100a697e0e7ed81c84401a5f9a453",
+    "unknot": "704e1cf7c195fa7383638a270a5bfd13894121021ed88381c5e5b5e09a7edb66",
+    "unknot-prime": "204f76d9b6fc4c7bc1d832fb3142d73941bed602ee7aecff2ae87f4129722092",
+}
+
+
+@pytest.mark.parametrize("geom", sorted(GOLDEN_PSI_TEXT_SHA256))
+def test_psi_text_golden_bytes(capsys, geom):
+    code, out, err = run_cli(capsys, "psi", "--geometry", geom, "--max-degree", "8",
+                             "--no-cache", "--format", "text")
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_PSI_TEXT_SHA256[geom]
 
 
 # sha256 of the stdout of `closed-form --geometry G` and of `invariant`, run

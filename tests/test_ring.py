@@ -596,6 +596,20 @@ def test_substitute_illegal_when_denominator_leaves_s():
         x.substitute({"s": A})
 
 
+@pytest.mark.parametrize("image", ["x", 1.5, SignedMonomial(1, Exponent(s=1))],
+                         ids=["str", "float", "signed-monomial"])
+def test_substitute_rejects_an_image_that_is_no_polynomial(image):
+    with pytest.raises(TypeError, match="image of s"):
+        S.substitute({"s": image})
+    with pytest.raises(TypeError, match="image of s"):
+        RationalFunction(1, Z).substitute({"s": image})
+
+
+def test_substitute_rejects_a_polynomial_image_that_is_no_signed_monomial():
+    with pytest.raises(ValueError, match="signed monomial"):
+        S.substitute({"s": 2 * S})
+
+
 @given(laurent_polynomials(), laurent_polynomials())
 def test_substitute_is_ring_homomorphism(f, g):
     images = {"a": A ** -1, "s": -S, "aL": AL * S ** 2}

@@ -19,6 +19,7 @@ from skeinsolve import (
     S,
     SkeinVector,
     TEMPLATES,
+    ZERO,
     Z_BRACKET,
     addable_cells,
     closed_form,
@@ -26,6 +27,7 @@ from skeinsolve import (
     content_polynomial,
     enumerate_partitions,
     geometry,
+    hook_content_vector,
     monomial,
     partitions_through,
     solve_monomial_coefficients,
@@ -78,6 +80,35 @@ def test_closed_form_of_an_operator_that_is_not_a_preset():
     psi = solve_recursion(_NOT_A_PRESET, 6)
     for p in partitions_through(6):
         assert closed_form(_NOT_A_PRESET, p) == psi.coefficient(p), p
+
+
+# w(0) = x + y aL = 0, so every coefficient past the empty one vanishes
+_ZERO_AT_CONTENT_0 = Geometry("zero-at-content-0", -AL * G, G)
+# every weight is q - 1 = Phi_1, a factor of every hook denominator, so the
+# product cancels when it is reduced
+_SHARES_PHI_1 = Geometry("shares-phi-1", Q - 1, ZERO)
+
+
+@pytest.mark.parametrize(
+    "geom", [*PRESETS.values(), _NOT_A_PRESET, _ZERO_AT_CONTENT_0, _SHARES_PHI_1],
+    ids=lambda geom: geom.tag)
+def test_hook_content_vector_equals_the_recursion_and_closed_forms(geom):
+    grown = hook_content_vector(geom, 8)
+    assert grown == solve_recursion(geom, 8)
+    for p in partitions_through(8):
+        assert grown.coefficient(p) == closed_form(geom, p), p
+
+
+def test_hook_content_vector_edge_operators():
+    assert hook_content_vector(_ZERO_AT_CONTENT_0, 4).partitions() == [EMPTY]
+    # psi_box = (q - 1) s aL^{-1} / (q - 1): the shared factor is cancelled
+    assert hook_content_vector(_SHARES_PHI_1, 1).coefficient(BOX) == RationalFunction(
+        monomial(1, s=1, aL=-1))
+
+
+def test_hook_content_vector_rejects_a_negative_degree():
+    with pytest.raises(ValueError):
+        hook_content_vector("c3", -1)
 
 
 @pytest.mark.parametrize("geom", [*PRESETS.values(), _NOT_A_PRESET],
