@@ -42,13 +42,17 @@ from .solver import (
 from .verify import SUITES, run_suite
 
 EMPTY_DISPLAY = "∅"
+_MAX_BOXES = 100_000  # far past any partition a command finishes with
 
 
 def _partition_arg(text: str) -> Partition:
     try:
-        return Partition.parse(text)
+        p = Partition.parse(text)
+        if p.size > _MAX_BOXES:
+            raise ValueError(f"at most {_MAX_BOXES} boxes, got {p.size}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    return p
 
 
 def _display(p: Partition) -> str:

@@ -11,9 +11,9 @@ content polynomial.  solve_recursion solves it that way.  Its solution is
 the hook-content product over the cells of the indexing partition: each
 cell contributes the raising weight of x P01 + y P11 over {hook}, and the
 common denominator prod {hook} comes from the cyclotomic hook vector.
-closed_form is that product for one partition; hook_content_vector grows it
-box by box over every partition through a degree, which is what psi prints,
-and the recursion is its check.
+One memoised growth step builds that product box by box; closed_form reads
+it for one partition, and hook_content_vector, which psi prints, for every
+partition through a degree.  The recursion is their check.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .partitions import (
     EMPTY,
     Cell,
     Partition,
-    cells,
     enumerate_partitions,
     hook_denominator,
+    partitions_through,
     removable_cells,
 )
 from .ring import (
@@ -143,13 +143,6 @@ def _weights_by_content(geom: Geometry) -> Callable[[Cell], LaurentPolynomial]:
     return weight
 
 
-def _hook_minus_content(p: Partition) -> int:
-    """Sum of hook - content over the cells: the power of s that the
-    brackets {hook} = s^{-hook} (q^{hook} - 1) and the factors q^{-c/2} of
-    the hook-content product leave in its numerator."""
-    return sum(c.hook - c.content for c in cells(p))
-
-
 def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
     """The unique solution of the geometry's annihilation equation with
     leading coefficient 1, computed through the given degree.
@@ -174,44 +167,39 @@ def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
     return SkeinVector(coeffs, max_degree)
 
 
-def hook_content_vector(geom: Geometry | str, max_degree: int) -> SkeinVector:
-    """The closed form of every coefficient through the given degree, grown
-    box by box; it equals solve_recursion's solution.
+_GROWN: dict = {}  # Geometry -> (its weight by content, {partition: (top, H)})
 
-    Each mu extends the first lambda of removable_cells(mu) by its box.  The
-    product's unreduced numerator top and hook denominator H are carried
-    along that chain:
 
-        top_mu = top_lambda raising_weight(box) s^{sigma_mu - sigma_lambda} aL^{-1},
+def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """closed_form(geom, p) unreduced: top_p over H_p = prod (q^{hook} - 1).
+
+    Each mu extends the first lambda of removable_cells(mu) by a box in row
+    r, column c: hook 1, content c - r, and 1 more on the r - 1 hooks above
+    and c - 1 to its left, so top's power of s, sum(hook - content), gains 2r - 1:
+
+        top_mu = top_lambda raising_weight(box) s^{2r - 1} aL^{-1},
         H_mu   = H_lambda Phi^{(E_mu - E_lambda)^+} / Phi^{(E_mu - E_lambda)^-},
 
-    with sigma the sum of hook - content and E = hook_denominator, and
-    psi_mu = top_mu / H_mu is reduced once, so a weight that shares a factor
-    with H is still cancelled.  Only the previous degree's (top, H) pairs
-    are kept.
+    with E = hook_denominator.  The chain is walked down to the first
+    partition already grown and back up.  Pairs stay in _GROWN for the life
+    of the process, like the caches in partitions, keyed by the Geometry value
+    (x and y, not only tag): a mutation test must build a fresh Geometry.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    geom = geometry(geom)
-    weight = _weights_by_content(geom)
-    coeffs: dict[Partition, RationalFunction] = {EMPTY: RationalFunction(1)}
-    grown = {EMPTY: (ONE, ONE)}
-    for degree in range(1, max_degree + 1):
-        previous, grown = grown, {}
-        for mu in enumerate_partitions(degree):
-            lam, box = removable_cells(mu)[0]
-            top, den = previous[lam]
-            shift = _hook_minus_content(mu) - _hook_minus_content(lam)
-            top = top * (weight(box) * monomial(1, s=shift, aL=-1))
-            change = dict(hook_denominator(mu))
-            for d, e in hook_denominator(lam).items():
-                change[d] = change.get(d, 0) - e
-            den = exact_div_s(
-                den * cyclotomic_product({d: e for d, e in change.items() if e > 0}),
-                cyclotomic_product({d: -e for d, e in change.items() if e < 0}))
-            grown[mu] = top, den
-            coeffs[mu] = RationalFunction(top, den)
-    return SkeinVector(coeffs, max_degree)
+    if geom not in _GROWN:
+        _GROWN[geom] = _weights_by_content(geom), {EMPTY: (ONE, ONE)}
+    weight, grown = _GROWN[geom]
+    chain, mu = [], p
+    while mu not in grown:
+        chain.append((mu, *removable_cells(mu)[0]))
+        mu = chain[-1][1]
+    for mu, lam, box in reversed(chain):
+        top, den = grown[lam]
+        new, old = hook_denominator(mu), hook_denominator(lam)
+        up = {d: e - old.get(d, 0) for d, e in new.items() if e > old.get(d, 0)}
+        down = {d: e - new.get(d, 0) for d, e in old.items() if e > new.get(d, 0)}
+        den = exact_div_s(den * cyclotomic_product(up), cyclotomic_product(down))
+        grown[mu] = top * (weight(box) * monomial(1, s=2 * box.row - 1, aL=-1)), den
+    return grown[p]
 
 
 def closed_form(geom: Geometry | str, p: Partition) -> RationalFunction:
@@ -226,15 +214,21 @@ def closed_form(geom: Geometry | str, p: Partition) -> RationalFunction:
     For the presets the cell factor is g q^{-c/2} (c3),
     g (a q^{-c/2} - a^{-1} q^{c/2}) (unknot) and g (a q^{c/2} - a^{-1} q^{-c/2})
     (unknot-prime).  {h} = s^{-h} (q^h - 1), so the product of the brackets
-    is s^{-sum of hooks} times the hook denominator H_p, and the fraction is
-    reduced once.
+    is s^{-sum of hooks} times the hook denominator H_p.  _grown grows the
+    pair box by box; it is reduced once, so a weight that shares a factor
+    with H is still cancelled.
     """
-    geom = geometry(geom)
-    weight = _weights_by_content(geom)
-    top = monomial(1, s=_hook_minus_content(p), aL=-p.size)
-    for c in cells(p):
-        top = top * weight(c)
-    return RationalFunction(top, cyclotomic_product(hook_denominator(p)))
+    return RationalFunction(*_grown(geometry(geom), p))
+
+
+def hook_content_vector(geom: Geometry | str, max_degree: int) -> SkeinVector:
+    """closed_form of every partition through the given degree; it equals
+    solve_recursion's solution.  The partitions come in degree order, so
+    each costs one growth step from a memoised smaller one."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    return SkeinVector({p: closed_form(geom, p) for p in partitions_through(max_degree)},
+                       max_degree)
 
 
 def colored_unknot_invariant(p: Partition) -> RationalFunction:

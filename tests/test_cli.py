@@ -10,7 +10,7 @@ import pytest
 import skeinsolve
 from skeinsolve import solve_recursion
 from skeinsolve.cache import default_cache_dir
-from skeinsolve.cli import build_parser, main
+from skeinsolve.cli import _partition_arg, build_parser, main
 from skeinsolve.serialize import loads_records, skein_vector_from_records
 from skeinsolve.verify import SuiteReport, run_suite
 
@@ -441,6 +441,24 @@ def test_usage_error_bad_partition(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["content-poly", "1,2,3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("parts", ("100001", "99999999999999999999"))
+@pytest.mark.parametrize("command", (
+    ["content-poly"], ["hook-poly"], ["closed-form", "--geometry", "c3", "--partition"],
+    ["invariant", "--partition"]), ids=lambda command: command[0])
+def test_usage_error_partition_too_large(capsys, command, parts):
+    # refused while the arguments are parsed, before any cell is built
+    with pytest.raises(SystemExit) as exc:
+        main([*command, parts])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.count("usage:") == 1 and "at most 100000 boxes" in err
+    assert "Traceback" not in err
+
+
+def test_largest_partition_argument_is_accepted():
+    assert _partition_arg("100000").size == 100000
 
 
 def test_usage_error_missing_command(capsys):

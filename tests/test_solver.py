@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import skeinsolve.solver as solver_mod
 from skeinsolve import (
     A,
     AL,
@@ -63,23 +64,8 @@ def test_c3_degree_two_by_hand():
     assert psi.coefficient(Partition((2,))) == expected
 
 
-@pytest.mark.parametrize("tag", ("c3", "unknot", "unknot-prime"))
-def test_recursion_matches_closed_form_through_five(tag):
-    psi = solve_recursion(tag, 5)
-    for p in partitions_through(5):
-        assert psi.coefficient(p) == closed_form(tag, p), p
-
-
 # not a preset: x = s^2 - 1 + a, y = 2g - s^{-3}
 _NOT_A_PRESET = Geometry("not-a-preset", S ** 2 - 1 + A, 2 * G - S ** -3)
-
-
-def test_closed_form_of_an_operator_that_is_not_a_preset():
-    # closed_form reads its cell factor off any coefficients x, y of
-    # O - P10 + x P01 + y P11, not only off the three presets
-    psi = solve_recursion(_NOT_A_PRESET, 6)
-    for p in partitions_through(6):
-        assert closed_form(_NOT_A_PRESET, p) == psi.coefficient(p), p
 
 
 # w(0) = x + y aL = 0, so every coefficient past the empty one vanishes
@@ -104,6 +90,36 @@ def test_hook_content_vector_edge_operators():
     # psi_box = (q - 1) s aL^{-1} / (q - 1): the shared factor is cancelled
     assert hook_content_vector(_SHARES_PHI_1, 1).coefficient(BOX) == RationalFunction(
         monomial(1, s=1, aL=-1))
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """closed_form with no product memoised yet."""
+    monkeypatch.setattr(solver_mod, "_GROWN", {})
+
+
+_ONE_TAG = Geometry("one-tag", A, S * G)
+
+
+@pytest.mark.parametrize("other", [_ONE_TAG._replace(x=-A), _ONE_TAG._replace(y=-S * G)],
+                         ids=("x", "y"))
+@pytest.mark.parametrize("other_first", (False, True), ids=("one-tag-first", "other-first"))
+def test_memo_tells_apart_geometries_with_one_tag(cold_memo, other, other_first):
+    p = Partition((3, 2))
+    asked = [other, _ONE_TAG] if other_first else [_ONE_TAG, other]
+    forms = {geom: closed_form(geom, p) for geom in asked}
+    vectors = {geom: hook_content_vector(geom, 5) for geom in asked}
+    assert forms[other] != forms[_ONE_TAG] and vectors[other] != vectors[_ONE_TAG]
+    for geom in asked:
+        psi = solve_recursion(geom, 5)
+        assert vectors[geom] == psi and forms[geom] == psi.coefficient(p)
+
+
+def test_cold_closed_form_of_a_deep_partition(cold_memo):
+    # asked before any smaller partition: the whole chain down to the empty
+    # partition is grown in one call
+    geom, p = Geometry("deep", A, S * G), Partition((5, 3, 2, 1))
+    assert closed_form(geom, p) == solve_recursion(geom, p.size).coefficient(p)
 
 
 def test_hook_content_vector_rejects_a_negative_degree():
