@@ -1,10 +1,11 @@
 """Young-diagram combinatorics: contents, hooks, cyclotomic hook factors,
 hook polynomials, branching.
 
-Diagrams use the English convention (rows left-justified, row 1 on top), so
-the content of the cell in row i, column j is j - i and the hook of a cell
-is the cell itself, its arm (cells to the right in the same row) and its leg
-(cells below in the same column).
+A Partition is the tuple of its parts, row 1 first.  Diagrams use the
+English convention (rows left-justified, row 1 on top), so the content of
+the cell in row i, column j is j - i and the hook of a cell is the cell
+itself, its arm (cells to the right in the same row) and its leg (cells
+below in the same column).
 
 The product of (q^{hook} - 1) over the cells has one representation, the
 cyclotomic exponent vector of hook_denominator: the branching check, the
@@ -32,73 +33,57 @@ class EmptyPartitionError(ValueError):
     """The operation needs at least one box."""
 
 
-class Partition:
-    """A finite nonincreasing sequence of positive integers.
-
-    The empty sequence is the empty partition; it parses from "" or "0" and
-    renders as "".
+class Partition(tuple):
+    """A finite nonincreasing sequence of positive integers: the tuple of its
+    parts, row 1 first, which it equals and hashes like.  len(p) counts rows
+    and p.size boxes.  The empty partition is falsy; it parses from "" or
+    "0" and renders as "".
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
         parts = tuple(int(p) for p in parts)
         for i, p in enumerate(parts):
             if p <= 0:
                 raise ValueError(f"parts must be positive, got {p}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"parts must be nonincreasing, got {parts}")
-        self._parts = parts
+        return super().__new__(cls, parts)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        text = text.strip()
-        if text in ("", "0"):
+        """Comma-separated parts, each ASCII digits with optional spaces
+        around.  A token int() cannot read keeps int's message, and "-3"
+        fails as not positive."""
+        if text.strip() in ("", "0"):
             return cls()
-        return cls(int(tok) for tok in text.split(","))
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
+        parts = []
+        for tok in text.split(","):
+            part = int(tok)
+            if not (tok.isascii() and tok.strip().lstrip("-").isdigit()):
+                raise ValueError(f"parts must be ASCII decimal digits, got {tok!r}")
+            parts.append(part)
+        return cls(parts)
 
     @property
     def size(self) -> int:
-        return sum(self._parts)
-
-    @property
-    def length(self) -> int:
-        return len(self._parts)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._parts
-
-    def row(self, i: int) -> int:
-        """Length of 1-based row i (0 beyond the last row)."""
-        return self._parts[i - 1] if 1 <= i <= len(self._parts) else 0
+        return sum(self)
 
     def conjugate(self) -> "Partition":
-        if not self._parts:
+        if not self:
             return Partition()
-        cols = [0] * self._parts[0]
-        for p in self._parts:
+        cols = [0] * self[0]
+        for p in self:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self._parts)
+        return ",".join(str(p) for p in self)
 
     def __repr__(self) -> str:
-        return f"Partition({self._parts!r})"
+        return f"Partition({tuple(self)!r})"
 
 
 EMPTY = Partition()
@@ -107,7 +92,7 @@ BOX = Partition((1,))
 
 def partition_sort_key(p: Partition) -> tuple[int, tuple[int, ...]]:
     """Sort key ordering by degree, then reverse-lexicographically within it."""
-    return (p.size, tuple(-x for x in p.parts))
+    return (p.size, tuple(-x for x in p))
 
 
 class Cell(NamedTuple):
@@ -132,9 +117,9 @@ def cells(p: Partition) -> tuple[Cell, ...]:
     """All cells of the diagram in row-major order."""
     conj = p.conjugate()
     return tuple(
-        Cell(row, col, p.row(row) - col, conj.row(col) - row)
-        for row in range(1, p.length + 1)
-        for col in range(1, p.row(row) + 1)
+        Cell(row, col, part - col, conj[col - 1] - row)
+        for row, part in enumerate(p, start=1)
+        for col in range(1, part + 1)
     )
 
 
@@ -185,7 +170,7 @@ def hook_polynomial(p: Partition) -> LaurentPolynomial:
 def hook_polynomial_qpower_form(p: Partition) -> LaurentPolynomial:
     """Alternate form q^{-sum (i-1) p_i} * prod [hook]_q, kept as an
     independent cross-check of hook_polynomial."""
-    shift = -2 * sum((i - 1) * part for i, part in enumerate(p.parts, start=1))
+    shift = -2 * sum((i - 1) * part for i, part in enumerate(p, start=1))
     return reduce(
         lambda acc, c: acc * q_int(c.hook), cells(p), monomial(1, s=shift)
     )
@@ -195,13 +180,11 @@ def addable_cells(p: Partition) -> list[tuple[Partition, Cell]]:
     """All ways of adding one box: (enlarged partition, the added cell), a
     corner of the enlarged diagram, so its arm and leg are 0."""
     out = []
-    parts = p.parts
-    for row in range(1, p.length + 2):
-        cur = p.row(row)
-        if row > 1 and p.row(row - 1) == cur:
+    for row, cur in enumerate((*p, 0), start=1):
+        if row > 1 and p[row - 2] == cur:
             continue  # adding here would break monotonicity
-        grown = list(parts)
-        if row <= len(parts):
+        grown = list(p)
+        if cur:
             grown[row - 1] += 1
         else:
             grown.append(1)
@@ -212,18 +195,17 @@ def addable_cells(p: Partition) -> list[tuple[Partition, Cell]]:
 def removable_cells(p: Partition) -> list[tuple[Partition, Cell]]:
     """All ways of removing one corner box: (shrunk partition, the removed
     cell), a corner of p, so its arm and leg are 0."""
-    if p.is_empty:
+    if not p:
         raise EmptyPartitionError("the empty partition has no removable box")
     out = []
-    parts = p.parts
-    for row in range(1, p.length + 1):
-        if row < len(parts) and parts[row] == parts[row - 1]:
+    for row in range(1, len(p) + 1):
+        if row < len(p) and p[row] == p[row - 1]:
             continue  # not a corner
-        shrunk = list(parts)
+        shrunk = list(p)
         shrunk[row - 1] -= 1
         if shrunk[row - 1] == 0:
             shrunk.pop()
-        out.append((Partition(shrunk), Cell(row, parts[row - 1], 0, 0)))
+        out.append((Partition(shrunk), Cell(row, p[row - 1], 0, 0)))
     return out
 
 
@@ -251,7 +233,7 @@ def hook_denominator(p: Partition) -> Mapping[int, int]:
 def _branching_sides(mu: Partition) -> tuple[LaurentPolynomial, LaurentPolynomial, dict[int, int]]:
     """The two sides of the polynomial identity that verify_branching
     compares, and the lcm M of the hook denominators as cyclotomic exponents."""
-    if mu.is_empty:
+    if not mu:
         raise EmptyPartitionError("branching rule needs at least one box")
     own = hook_denominator(mu)
     removed = [(hook_denominator(lam), cell.row - 1) for lam, cell in removable_cells(mu)]

@@ -72,7 +72,7 @@ class SkeinVector:
         for p, val in coeffs.items():
             if p.size > max_degree:
                 raise ValueError(
-                    f"partition {p.parts} exceeds max_degree {max_degree}")
+                    f"partition {tuple(p)} exceeds max_degree {max_degree}")
             rf = val if isinstance(val, RationalFunction) else RationalFunction(val)
             if not rf.is_zero:
                 clean[p] = rf

@@ -153,8 +153,6 @@ def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
         psi_mu = sum over (lambda, box) with lambda + box = mu
                  of raising_weight(box) psi_lambda / diagonal_part(mu)
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
     geom = geometry(geom)
     weight = _weights_by_content(geom)
     coeffs: dict[Partition, RationalFunction] = {EMPTY: RationalFunction(1)}
@@ -225,8 +223,6 @@ def hook_content_vector(geom: Geometry | str, max_degree: int) -> SkeinVector:
     """closed_form of every partition through the given degree; it equals
     solve_recursion's solution.  The partitions come in degree order, so
     each costs one growth step from a memoised smaller one."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
     return SkeinVector({p: closed_form(geom, p) for p in partitions_through(max_degree)},
                        max_degree)
 

@@ -457,6 +457,20 @@ def test_usage_error_partition_too_large(capsys, command, parts):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("parts", ("1_0", "+3", "\u0663"))
+@pytest.mark.parametrize("command", (
+    ["content-poly"], ["hook-poly"], ["closed-form", "--geometry", "c3", "--partition"],
+    ["invariant", "--partition"]), ids=lambda command: command[0])
+def test_usage_error_partition_not_ascii_digits(capsys, command, parts):
+    # int() reads each of these as a number
+    with pytest.raises(SystemExit) as exc:
+        main([*command, parts])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.count("usage:") == 1 and "parts must be ASCII decimal digits" in err
+    assert "Traceback" not in err
+
+
 def test_largest_partition_argument_is_accepted():
     assert _partition_arg("100000").size == 100000
 

@@ -173,7 +173,7 @@ def test_framing_factor_fails_both_forms(tag):
     # which is again a multicover exponential, with eps = +1
     psi = _solved(PRESETS[tag], 5)
     framed = SkeinVector(
-        {p: coeff * S ** (2 * sum(j - i for i, part in enumerate(p.parts)
+        {p: coeff * S ** (2 * sum(j - i for i, part in enumerate(p)
                                   for j in range(part)))
          for p, coeff in psi.items()}, psi.max_degree)
     assert _exponential_failure(framed) is not None

@@ -20,7 +20,7 @@ from skeinsolve import (
     verify_branching,
 )
 import skeinsolve.partitions as partitions_mod
-from skeinsolve.partitions import EMPTY, branching_difference, hook_denominator
+from skeinsolve.partitions import BOX, EMPTY, branching_difference, hook_denominator
 from skeinsolve.ring import ONE, S, cyclotomic_product, exact_div_s
 from skeinsolve.verify import run_suite
 
@@ -44,20 +44,45 @@ def _partitions_descending(n, cap=None):
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"nonincreasing, got \(1, 2\)"):
         Partition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive, got 0"):
         Partition((2, 0))
     assert Partition((3, 3, 1)).size == 7
-    assert Partition((3, 3, 1)).length == 3
+    assert len(Partition((3, 3, 1))) == 3
+
+
+def test_partition_is_the_tuple_of_its_parts():
+    p = Partition((2, 1))
+    assert p == (2, 1) and (2, 1) == p
+    assert hash(p) == hash((2, 1))
+    assert {(2, 1): "found"}[p] == "found"
+    assert p[0] == 2 and tuple(p) == (2, 1) and type(tuple(p)) is tuple
+    assert not EMPTY and EMPTY == () and len(EMPTY) == 0
+    assert Partition(["3", 1.0]) == (3, 1) and type(Partition(["3"])[0]) is int
+    assert repr(p) == "Partition((2, 1))"
+    assert repr(BOX) == "Partition((1,))" and repr(EMPTY) == "Partition(())"
 
 
 def test_partition_parse_render():
-    assert Partition.parse("6,4,2").parts == (6, 4, 2)
-    assert Partition.parse("").is_empty
-    assert Partition.parse("0").is_empty
+    assert Partition.parse("6,4,2") == (6, 4, 2)
+    assert Partition.parse(" 3, 1") == (3, 1)
+    assert Partition.parse("03") == (3,)
+    assert not Partition.parse("")
+    assert not Partition.parse("0")
     assert str(Partition((6, 4, 2))) == "6,4,2"
     assert str(EMPTY) == ""
+
+
+@pytest.mark.parametrize("text, message", (
+    # int() reads the first six as numbers
+    ("1_0", "ASCII decimal digits"), ("+3", "ASCII decimal digits"),
+    ("\u0663", "ASCII decimal digits"), ("3,\u0663", "ASCII decimal digits"),
+    ("3,\u00a01", "ASCII decimal digits"), ("\u00a03", "ASCII decimal digits"),
+    ("3,,1", "invalid literal for int"), ("1,2", "nonincreasing"), ("-3", "positive")))
+def test_parse_rejects(text, message):
+    with pytest.raises(ValueError, match=message):
+        Partition.parse(text)
 
 
 def test_enumerate_zero():
@@ -65,13 +90,13 @@ def test_enumerate_zero():
 
 
 def test_enumerate_four():
-    assert [p.parts for p in enumerate_partitions(4)] == [
+    assert list(enumerate_partitions(4)) == [
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_enumerate_matches_independent_oracle(n):
-    assert [p.parts for p in enumerate_partitions(n)] == list(_partitions_descending(n))
+    assert list(enumerate_partitions(n)) == list(_partitions_descending(n))
 
 
 def test_enumerate_eight_count():
@@ -162,26 +187,26 @@ def test_hook_polynomial_palindromic_after_balancing(n):
 
 def test_addable_empty():
     [(mu, cell)] = addable_cells(EMPTY)
-    assert mu.parts == (1,)
+    assert mu == (1,)
     assert (cell.row, cell.col, cell.content) == (1, 1, 0)
 
 
 def test_addable_single_box():
-    got = [(mu.parts, c.content) for mu, c in addable_cells(Partition((1,)))]
+    got = [(mu, c.content) for mu, c in addable_cells(Partition((1,)))]
     assert got == [((2,), 1), ((1, 1), -1)]
 
 
 def test_addable_two_one():
-    got = [(mu.parts, c.content) for mu, c in addable_cells(Partition((2, 1)))]
+    got = [(mu, c.content) for mu, c in addable_cells(Partition((2, 1)))]
     assert got == [((3, 1), 2), ((2, 2), 0), ((2, 1, 1), -2)]
 
 
 def test_removable_examples():
     [(lam, cell)] = removable_cells(Partition((1,)))
-    assert lam.is_empty and cell.content == 0
-    got = [(lam.parts, c.content) for lam, c in removable_cells(Partition((2, 1)))]
+    assert not lam and cell.content == 0
+    got = [(lam, c.content) for lam, c in removable_cells(Partition((2, 1)))]
     assert got == [((1, 1), 1), ((2,), -1)]
-    got = [(lam.parts, c.content) for lam, c in removable_cells(Partition((2, 2)))]
+    got = [(lam, c.content) for lam, c in removable_cells(Partition((2, 2)))]
     assert got == [((2, 1), 0)]
 
 
@@ -194,12 +219,12 @@ def test_removable_rejects_empty():
 def test_addable_removable_inverse(n):
     for lam in enumerate_partitions(n):
         for mu, cell in addable_cells(lam):
-            pairs = [(l.parts, (c.row, c.col)) for l, c in removable_cells(mu)]
-            assert (lam.parts, (cell.row, cell.col)) in pairs
+            pairs = [(l, (c.row, c.col)) for l, c in removable_cells(mu)]
+            assert (lam, (cell.row, cell.col)) in pairs
     for mu in enumerate_partitions(n + 1):
         for lam, cell in removable_cells(mu):
-            pairs = [(m.parts, (c.row, c.col)) for m, c in addable_cells(lam)]
-            assert (mu.parts, (cell.row, cell.col)) in pairs
+            pairs = [(m, (c.row, c.col)) for m, c in addable_cells(lam)]
+            assert (mu, (cell.row, cell.col)) in pairs
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -364,5 +389,5 @@ def test_branching_difference_matches_the_rational_difference(monkeypatch, mutat
 
 def test_partitions_through_order():
     through = partitions_through(3)
-    assert [p.parts for p in through] == [
+    assert through == [
         (), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]

@@ -46,13 +46,13 @@ W = SkeinVector.basis
 def test_vector_drops_zeros_and_validates_degree():
     v = SkeinVector({EMPTY: RationalFunction(0), BOX: RationalFunction(1)}, 1)
     assert v.partitions() == [BOX]
-    with pytest.raises(ValueError):
-        SkeinVector({Partition((2,)): RationalFunction(1)}, 1)
+    with pytest.raises(ValueError, match=r"^partition \(2, 1\) exceeds max_degree 2$"):
+        SkeinVector({Partition((2, 1)): RationalFunction(1)}, 2)
 
 
 def test_vector_item_order():
     v = SkeinVector({p: RationalFunction(1) for p in enumerate_partitions(4)}, 4)
-    assert [p.parts for p, _ in v.items()] == [
+    assert [p for p, _ in v.items()] == [
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 

@@ -127,6 +127,11 @@ def test_hook_content_vector_rejects_a_negative_degree():
         hook_content_vector("c3", -1)
 
 
+def test_solve_recursion_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+        solve_recursion("c3", -1)
+
+
 @pytest.mark.parametrize("geom", [*PRESETS.values(), _NOT_A_PRESET],
                          ids=lambda geom: geom.tag)
 def test_raising_weight_is_the_skein_raising_action(geom):
@@ -203,8 +208,8 @@ def _one_row_invariant(k):
 def test_invariant_satisfies_jacobi_trudi(n):
     # W_lambda = det(W_(lambda_i - i + j)), from one-row values alone
     for p in enumerate_partitions(n):
-        matrix = [[_one_row_invariant(p.parts[i] - i + j) for j in range(p.length)]
-                  for i in range(p.length)]
+        matrix = [[_one_row_invariant(p[i] - i + j) for j in range(len(p))]
+                  for i in range(len(p))]
         assert _det(matrix) == colored_unknot_invariant(p), p
 
 

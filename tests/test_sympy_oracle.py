@@ -151,7 +151,7 @@ def _assert_hook_content_product(geom, n, *values, gamma=g):
     prod over cells of _CELL_NUMERATOR[geom](content) / {hook}, reduced."""
     for p in partitions_through(n):
         want = gamma ** p.size
-        for content, hook in _cells(list(p.parts)):
+        for content, hook in _cells(list(p)):
             want *= _CELL_NUMERATOR[geom](content) / (s ** hook - s ** -hook)
         for value in values:
             _assert_reduced_value(value(p), want)
