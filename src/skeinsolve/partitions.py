@@ -16,9 +16,10 @@ check of that vector.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, reduce, wraps
+from operator import index
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .ring import (
     LaurentPolynomial,
@@ -36,14 +37,15 @@ class EmptyPartitionError(ValueError):
 class Partition(tuple):
     """A finite nonincreasing sequence of positive integers: the tuple of its
     parts, row 1 first, which it equals and hashes like.  len(p) counts rows
-    and p.size boxes.  The empty partition is falsy; it parses from "" or
-    "0" and renders as "".
+    and p.size boxes.  Each part is read through operator.index, so a float
+    or a string part raises TypeError.  The empty partition is falsy; it
+    parses from "" or "0" and renders as "".
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(index(p) for p in parts)
         for i, p in enumerate(parts):
             if p <= 0:
                 raise ValueError(f"parts must be positive, got {p}")
@@ -95,6 +97,29 @@ def partition_sort_key(p: Partition) -> tuple[int, tuple[int, ...]]:
     return (p.size, tuple(-x for x in p))
 
 
+def _cache_of(kind: type) -> Callable[[Callable], Callable]:
+    """functools.cache behind an isinstance check that raises TypeError.
+
+    A plain tuple equals and hashes like its Partition, and 2.0 like 2, so
+    without the check they would share a cache entry, and whether a call
+    answered or raised would depend on which call came first.
+    """
+    def decorate(f: Callable) -> Callable:
+        cached = cache(f)
+
+        @wraps(f)
+        def entry(key):
+            if not isinstance(key, kind):
+                raise TypeError(f"{f.__name__} takes a {kind.__name__}, "
+                                f"got {type(key).__name__}")
+            return cached(key)
+
+        entry.cache_clear = cached.cache_clear
+        return entry
+
+    return decorate
+
+
 class Cell(NamedTuple):
     """One box of a Young diagram: its row, column, arm and leg."""
 
@@ -112,7 +137,7 @@ class Cell(NamedTuple):
         return self.arm + self.leg + 1
 
 
-@cache
+@_cache_of(Partition)
 def cells(p: Partition) -> tuple[Cell, ...]:
     """All cells of the diagram in row-major order."""
     conj = p.conjugate()
@@ -123,7 +148,7 @@ def cells(p: Partition) -> tuple[Cell, ...]:
     )
 
 
-@cache
+@_cache_of(int)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
     if n < 0:
@@ -146,7 +171,7 @@ def partitions_through(n: int) -> list[Partition]:
     return [p for k in range(n + 1) for p in enumerate_partitions(k)]
 
 
-@cache
+@_cache_of(Partition)
 def content_polynomial(p: Partition) -> LaurentPolynomial:
     """Sum of q^{content} over the cells; evaluates to |p| at q = 1."""
     out = LaurentPolynomial()
@@ -214,7 +239,7 @@ def parity_sum(p: Partition) -> int:
     return sum(c.content + c.hook + 1 for c in cells(p))
 
 
-@cache
+@_cache_of(Partition)
 def hook_denominator(p: Partition) -> Mapping[int, int]:
     """The hook denominator H_p = prod over cells of (q^{hook} - 1) as
     cyclotomic exponents {d: e}, with H_p = prod over d of Phi_d(q)^e.

@@ -15,6 +15,11 @@ reads the diagonal part and the box weights from here.  P11's per-box form
 is the closed expression for (q^{1/2} - q^{-1/2})^{-1} [P10, P01]; the raw
 commutator is kept available through OperatorExpression composition as an
 independent cross-check.
+
+OperatorExpression.apply acts one basis vector at a time: it runs each word
+through the generator table on W_lambda alone, then adds each coefficient of
+that image times the input's coefficient of lambda, so a large coefficient
+of the input is multiplied once per partition of its image.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ Z_BRACKET = S - S ** -1
 #: Standard framed-unknot scalar.
 UNKNOT_VALUE = RationalFunction(AL - AL ** -1, Z_BRACKET)
 
+_RF_ONE = RationalFunction(1)  # shared by every basis vector: values are immutable
+
 
 class SkeinVector:
     """Finite graded vector: partition -> rational-function coefficient.
@@ -88,7 +95,7 @@ class SkeinVector:
         """The basis vector of the given partition."""
         if max_degree is None:
             max_degree = p.size
-        return cls({p: RationalFunction(1)}, max_degree)
+        return cls({p: _RF_ONE}, max_degree)
 
     @property
     def max_degree(self) -> int:
@@ -256,14 +263,27 @@ class OperatorExpression:
 
     def apply(self, v: SkeinVector) -> SkeinVector:
         """Linear extension of the generator actions, with the same truncation
-        degree as the input (raised terms beyond it are dropped)."""
-        total = SkeinVector.zero(v.max_degree)
-        for coeff, word in self._terms:
-            cur = v
-            for gen in reversed(word):
-                cur = _APPLY[gen](cur)
-            total = total + cur.scale(coeff)
-        return total
+        degree as the input (raised terms beyond it are dropped).
+
+        It acts one basis vector at a time: the words run on W_lambda, whose
+        image has small coefficients, and each coefficient mu of that image
+        is multiplied once by v's coefficient of lambda and added into the
+        result at mu.
+        """
+        out: dict[Partition, RationalFunction] = {}
+        for lam, coeff in v.items():
+            basis = SkeinVector.basis(lam, v.max_degree)
+            image = SkeinVector.zero(v.max_degree)
+            for c, word in self._terms:
+                cur = basis
+                for gen in reversed(word):
+                    cur = _APPLY[gen](cur)
+                image = image + cur.scale(c)
+            unit = coeff == 1  # W_lambda itself: its image needs no product
+            for mu, c in image._coeffs.items():
+                term = c if unit else c * coeff
+                out[mu] = out[mu] + term if mu in out else term
+        return SkeinVector(out, v.max_degree)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorExpression):

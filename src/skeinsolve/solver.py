@@ -166,6 +166,7 @@ def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
 
 
 _GROWN: dict = {}  # Geometry -> (its weight by content, {partition: (top, H)})
+_GROWN_GEOMETRIES = 3  # annihilation and recursion grow all three presets
 
 
 def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -179,12 +180,15 @@ def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPoly
         H_mu   = H_lambda Phi^{(E_mu - E_lambda)^+} / Phi^{(E_mu - E_lambda)^-},
 
     with E = hook_denominator.  The chain is walked down to the first
-    partition already grown and back up.  Pairs stay in _GROWN for the life
-    of the process, like the caches in partitions, keyed by the Geometry value
-    (x and y, not only tag): a mutation test must build a fresh Geometry.
+    partition already grown and back up.  _GROWN is keyed by the Geometry
+    value (x and y, not only tag), so a mutation test must build a fresh
+    Geometry; it holds the pairs of the last _GROWN_GEOMETRIES geometries
+    first grown, and a new one evicts the oldest.
     """
     if geom not in _GROWN:
         _GROWN[geom] = _weights_by_content(geom), {EMPTY: (ONE, ONE)}
+        if len(_GROWN) > _GROWN_GEOMETRIES:
+            del _GROWN[next(iter(_GROWN))]
     weight, grown = _GROWN[geom]
     chain, mu = [], p
     while mu not in grown:
@@ -214,8 +218,11 @@ def closed_form(geom: Geometry | str, p: Partition) -> RationalFunction:
     (unknot-prime).  {h} = s^{-h} (q^h - 1), so the product of the brackets
     is s^{-sum of hooks} times the hook denominator H_p.  _grown grows the
     pair box by box; it is reduced once, so a weight that shares a factor
-    with H is still cancelled.
+    with H is still cancelled.  A p that is not a Partition raises
+    TypeError: a plain tuple would find its Partition's pair once grown.
     """
+    if not isinstance(p, Partition):
+        raise TypeError(f"closed_form takes a Partition, got {type(p).__name__}")
     return RationalFunction(*_grown(geometry(geom), p))
 
 

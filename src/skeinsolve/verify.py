@@ -127,7 +127,7 @@ def _symmetry(n: int) -> Iterator[str | None]:
 
 def _annihilation(n: int) -> Iterator[str | None]:
     for geom in PRESETS.values():
-        psi = solve_recursion(geom, n)
+        psi = hook_content_vector(geom, n)
         if verify_annihilation(geom, psi):
             yield None
         else:

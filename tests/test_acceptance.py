@@ -23,6 +23,7 @@ from skeinsolve import (
     colored_unknot_invariant,
     content_polynomial,
     enumerate_partitions,
+    hook_content_vector,
     hook_polynomial,
     hook_polynomial_qpower_form,
     monomial,
@@ -30,6 +31,7 @@ from skeinsolve import (
     partitions_through,
     solve_monomial_coefficients,
     solve_recursion,
+    verify_annihilation,
     verify_branching,
 )
 from skeinsolve.ring import Exponent, S, SignedMonomial
@@ -175,3 +177,12 @@ def test_criterion_10_hook_polynomial_forms_and_palindromy():
             checked += 1
     _report(10, f"hook polynomial double formula and palindromicity, "
                f"{checked} partitions <= 12", started)
+
+
+def test_criterion_11_operators_annihilate_psi_through_eight(solved):
+    started = time.monotonic()
+    for tag in ("c3", "unknot", "unknot-prime"):
+        assert verify_annihilation(tag, hook_content_vector(tag, 8)), tag
+        assert verify_annihilation(tag, solved[tag]), tag
+    _report(11, "each operator kills its hook-content psi and its solved psi "
+                "through degree 8", started)

@@ -266,7 +266,7 @@ def test_verify_all_suites_small(capsys):
 def test_suite_checks_one_identity_per_item(suite, checked):
     # p(0..4) = 1, 1, 2, 3, 5: twelve partitions through degree 4, eleven
     # nonempty; recursion checks each under three geometries, hookforms two
-    # identities each, annihilation one solve per geometry
+    # identities each, annihilation one ψ per geometry
     report = run_suite(suite, 4)
     assert (report.checked, report.failures) == (checked, 0)
 
@@ -387,12 +387,12 @@ def test_verify_annihilation_failure_reports_a_coefficient(capsys, monkeypatch):
     import skeinsolve.verify as verify_mod
     from skeinsolve import Partition, SkeinVector, geometry
 
-    solve = verify_mod.solve_recursion
+    grow = verify_mod.hook_content_vector
 
     def perturbed(tag, n):
-        return solve(tag, n) + SkeinVector.basis(Partition([2]), max_degree=n)
+        return grow(tag, n) + SkeinVector.basis(Partition([2]), max_degree=n)
 
-    monkeypatch.setattr(verify_mod, "solve_recursion", perturbed)
+    monkeypatch.setattr(verify_mod, "hook_content_vector", perturbed)
     # O and P10 act diagonally, so the stray W_(2) leaves a residual at (2)
     # and none in lower degree
     residual = geometry("c3").operator.apply(perturbed("c3", 3))

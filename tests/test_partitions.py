@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
+
+import skeinsolve
 
 from skeinsolve import (
     Cell,
@@ -52,6 +60,57 @@ def test_partition_validation():
     assert len(Partition((3, 3, 1))) == 3
 
 
+@pytest.mark.parametrize("parts", [(2.7, 1.2), (2.0, 1), ("3", 1)])
+def test_partition_parts_must_be_integers(parts):
+    # parts go through operator.index, so (2.7, 1.2) is not truncated to (2, 1)
+    with pytest.raises(TypeError):
+        Partition(parts)
+
+
+# Each memoised entry point called on a plain tuple (or 2.0), in a fresh
+# process or after the same call on the equal Partition (or 2).
+_MEMO_PROBE = """
+import json, sys
+from skeinsolve import Partition, closed_form, enumerate_partitions
+from skeinsolve.partitions import (
+    cells, content_polynomial, hook_denominator, hook_polynomial)
+p = Partition((2, 1))
+calls = [(f.__name__, f, p, (2, 1)) for f in (
+    cells, content_polynomial, hook_denominator, hook_polynomial)]
+calls += [("enumerate_partitions", enumerate_partitions, 2, 2.0),
+          ("closed_form", lambda x: closed_form("c3", x), p, (2, 1))]
+if sys.argv[1] == "typed-first":
+    for _, call, typed, _ in calls:
+        call(typed)
+out = []
+for name, call, _, plain in calls:
+    try:
+        out.append([name, repr(call(plain))])
+    except Exception as e:
+        out.append([name, f"{type(e).__name__}: {e}"])
+print(json.dumps(out))
+"""
+
+
+def _plain_outcomes(order: str) -> list:
+    src = str(Path(skeinsolve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _MEMO_PROBE, order], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_memoised_functions_answer_a_plain_tuple_whatever_came_first():
+    # a tuple equals and hashes like its Partition, and 2.0 like 2, so a
+    # memo keyed on them alone would answer only after the typed call
+    first, after = _plain_outcomes("plain-first"), _plain_outcomes("typed-first")
+    assert first == after
+    assert len(first) == 6
+    assert all(text.startswith("TypeError: ") for _, text in first), first
+
+
 def test_partition_is_the_tuple_of_its_parts():
     p = Partition((2, 1))
     assert p == (2, 1) and (2, 1) == p
@@ -59,7 +118,7 @@ def test_partition_is_the_tuple_of_its_parts():
     assert {(2, 1): "found"}[p] == "found"
     assert p[0] == 2 and tuple(p) == (2, 1) and type(tuple(p)) is tuple
     assert not EMPTY and EMPTY == () and len(EMPTY) == 0
-    assert Partition(["3", 1.0]) == (3, 1) and type(Partition(["3"])[0]) is int
+    assert type(Partition([True])[0]) is int
     assert repr(p) == "Partition((2, 1))"
     assert repr(BOX) == "Partition((1,))" and repr(EMPTY) == "Partition(())"
 

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 
 from skeinsolve import (
+    A,
     AL,
     G,
     Generator,
     OperatorExpression,
+    PRESETS,
     Partition,
     Q,
     RationalFunction,
@@ -19,8 +21,10 @@ from skeinsolve import (
     apply_unknot,
     cells,
     enumerate_partitions,
+    hook_content_vector,
     monomial,
     partitions_through,
+    q_int,
 )
 from skeinsolve.partitions import BOX, EMPTY
 from skeinsolve.skein import (
@@ -216,3 +220,64 @@ def test_operator_rendering_deterministic():
     op = UNKNOT_OP - P10_OP + P01_OP.scale(AL * G)
     assert str(op) == str(UNKNOT_OP - P10_OP + P01_OP.scale(AL * G))
     assert "P10" in str(op) and "O" in str(op)
+
+
+# ---------------------------------------------------------------------------
+# apply, one basis vector at a time, against whole-vector composition
+# ---------------------------------------------------------------------------
+
+
+def _whole_vector_apply(op: OperatorExpression, v: SkeinVector) -> SkeinVector:
+    """Every generator of every word run over the whole vector, each word's
+    image scaled by its coefficient, and the images added."""
+    total = SkeinVector.zero(v.max_degree)
+    for coeff, word in op._terms:
+        cur = v
+        for gen in reversed(word):
+            cur = _APPLY[gen](cur)
+        total = total + cur.scale(coeff)
+    return total
+
+
+@pytest.mark.parametrize("tag", sorted(PRESETS))
+def test_apply_matches_whole_vector_composition_on_psi(tag):
+    geom = PRESETS[tag]
+    psi = hook_content_vector(geom, 8)
+    raising = P01_OP.scale(geom.x) + P11_OP.scale(geom.y)
+    for op in (geom.operator, raising):
+        image = op.apply(psi)
+        assert image == _whole_vector_apply(op, psi)
+        assert image.max_degree == 8
+    # the raising part is the diagonal part's image, so it is not zero
+    assert not raising.apply(psi).is_zero
+
+
+def test_apply_matches_whole_vector_composition_under_truncation():
+    # denominators that are not Z_BRACKET's, and two raising generators in
+    # a row, so the terms of degrees 3 and 4 are dropped at max_degree 4
+    v = SkeinVector({p: RationalFunction(G + k, q_int(k + 2) * (1 + Q ** 3))
+                     for k, p in enumerate(partitions_through(4))}, 4)
+    op = (P01_OP.compose(P11_OP).scale(A) - P10_OP.compose(P01_OP)
+          + UNKNOT_OP.scale(G) + OperatorExpression([(AL, ())]))
+    image = op.apply(v)
+    assert image == _whole_vector_apply(op, v)
+    assert max(p.size for p in image.partitions()) == 4
+    assert image.max_degree == 4
+
+
+def test_apply_to_the_zero_vector():
+    op = UNKNOT_OP - P10_OP + P01_OP.compose(P11_OP)
+    image = op.apply(SkeinVector.zero(5))
+    assert image.is_zero and image.max_degree == 5
+    assert image == _whole_vector_apply(op, SkeinVector.zero(5))
+
+
+def test_commutator_matches_whole_vector_composition_through_six():
+    bracket = OperatorExpression.commutator(P10_OP, P01_OP)
+    scaled = P11_OP.scale(Z_BRACKET)
+    for p in partitions_through(6):
+        basis = W(p, p.size + 1)
+        lhs, rhs = scaled.apply(basis), bracket.apply(basis)
+        assert lhs == _whole_vector_apply(scaled, basis), p
+        assert rhs == _whole_vector_apply(bracket, basis), p
+        assert lhs == rhs, p

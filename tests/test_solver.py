@@ -122,6 +122,18 @@ def test_cold_closed_form_of_a_deep_partition(cold_memo):
     assert closed_form(geom, p) == solve_recursion(geom, p.size).coefficient(p)
 
 
+def test_memo_holds_at_most_three_geometries(cold_memo):
+    geometries = [Geometry(f"fresh-{k}", (k + 1) * AL * G, k * G * A ** -1)
+                  for k in range(10)]
+    for geom in geometries:
+        assert hook_content_vector(geom, 6) == solve_recursion(geom, 6), geom.tag
+        assert len(solver_mod._GROWN) <= 3
+    assert list(solver_mod._GROWN) == geometries[-3:]
+    # an evicted geometry grows again from the empty partition
+    p = Partition((3, 2, 1))
+    assert closed_form(geometries[0], p) == solve_recursion(geometries[0], 6).coefficient(p)
+
+
 def test_hook_content_vector_rejects_a_negative_degree():
     with pytest.raises(ValueError):
         hook_content_vector("c3", -1)
