@@ -42,10 +42,6 @@ from .skein import (
     SkeinVector,
     UNKNOT_VALUE,
     Z_BRACKET,
-    apply_p01,
-    apply_p10,
-    apply_p11,
-    apply_unknot,
 )
 from .solver import (
     CoefficientTemplate,

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from .cache import ResultCache
 from .partitions import (
     Partition,
+    _decimal,
     content_polynomial,
     enumerate_partitions,
     hook_polynomial,
@@ -45,6 +46,13 @@ EMPTY_DISPLAY = "∅"
 _MAX_BOXES = 100_000  # far past any partition a command finishes with
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return _decimal(text, "integers")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _partition_arg(text: str) -> Partition:
     try:
         p = Partition.parse(text)
@@ -71,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="text rendering or line-delimited JSON records")
 
     p = sub.add_parser("partitions", help="list all partitions of n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     add_format(p)
 
     p = sub.add_parser("content-poly", help="content polynomial of a partition")
@@ -86,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psi", help="solve the annihilation recursion")
     p.add_argument("--geometry", required=True,
                    choices=PRESETS)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_int_arg, required=True)
     p.add_argument("--no-cache", action="store_true",
                    help="recompute even if a cached result exists")
     add_format(p)
@@ -105,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--max-degree", type=int, default=None,
+    p.add_argument("--max-degree", type=_int_arg, default=None,
                    help="degree bound (suite-specific default)")
 
     p = sub.add_parser("solve-coefficients",

@@ -34,6 +34,16 @@ class EmptyPartitionError(ValueError):
     """The operation needs at least one box."""
 
 
+def _decimal(text: str, what: str) -> int:
+    """The integer written in ASCII digits, with an optional leading "-" and
+    spaces around.  A form int() cannot read keeps int's message; the other
+    forms it reads (1_0, +3, non-ASCII digits) fail as not ASCII digits."""
+    value = int(text)
+    if not (text.isascii() and text.strip().lstrip("-").isdigit()):
+        raise ValueError(f"{what} must be ASCII decimal digits, got {text!r}")
+    return value
+
+
 class Partition(tuple):
     """A finite nonincreasing sequence of positive integers: the tuple of its
     parts, row 1 first, which it equals and hashes like.  len(p) counts rows
@@ -55,18 +65,11 @@ class Partition(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Comma-separated parts, each ASCII digits with optional spaces
-        around.  A token int() cannot read keeps int's message, and "-3"
-        fails as not positive."""
+        """Comma-separated parts, each read by _decimal, so "-3" fails as not
+        positive."""
         if text.strip() in ("", "0"):
             return cls()
-        parts = []
-        for tok in text.split(","):
-            part = int(tok)
-            if not (tok.isascii() and tok.strip().lstrip("-").isdigit()):
-                raise ValueError(f"parts must be ASCII decimal digits, got {tok!r}")
-            parts.append(part)
-        return cls(parts)
+        return cls(_decimal(tok, "parts") for tok in text.split(","))
 
     @property
     def size(self) -> int:

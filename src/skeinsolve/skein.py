@@ -19,7 +19,13 @@ independent cross-check.
 OperatorExpression.apply acts one basis vector at a time: it runs each word
 through the generator table on W_lambda alone, then adds each coefficient of
 that image times the input's coefficient of lambda, so a large coefficient
-of the input is multiplied once per partition of its image.
+of the input is multiplied once per partition of its image.  The table's
+entries apply_unknot, apply_p10, apply_p01 and apply_p11 are internal to
+this module; the package exports the operators.
+
+Each operation has one path: both constructors normalize what they are
+handed, a difference is a sum with a scale by -1, and an operator's scale
+is a composition with a scalar on the identity word.
 """
 
 from __future__ import annotations
@@ -87,10 +93,6 @@ class SkeinVector:
         self._max_degree = max_degree
 
     @classmethod
-    def zero(cls, max_degree: int) -> "SkeinVector":
-        return cls({}, max_degree)
-
-    @classmethod
     def basis(cls, p: Partition, max_degree: int | None = None) -> "SkeinVector":
         """The basis vector of the given partition."""
         if max_degree is None:
@@ -125,13 +127,10 @@ class SkeinVector:
             out[p] = out[p] + v if p in out else v
         return SkeinVector(out, self._max_degree)
 
-    def __neg__(self) -> "SkeinVector":
-        return SkeinVector({p: -v for p, v in self._coeffs.items()}, self._max_degree)
-
     def __sub__(self, other: "SkeinVector") -> "SkeinVector":
         if not isinstance(other, SkeinVector):
             return NotImplemented
-        return self + (-other)
+        return self + other.scale(-1)
 
     def scale(self, c: RationalLike) -> "SkeinVector":
         rf = c if isinstance(c, RationalFunction) else RationalFunction(c)
@@ -140,11 +139,8 @@ class SkeinVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SkeinVector):
             return NotImplemented
-        if self._max_degree != other._max_degree:
-            return False
-        if set(self._coeffs) != set(other._coeffs):
-            return False
-        return all(v == other._coeffs[p] for p, v in self._coeffs.items())
+        return (self._max_degree == other._max_degree
+                and self._coeffs == other._coeffs)
 
     def __repr__(self) -> str:
         body = "; ".join(f"[{p}] {v}" for p, v in self.items()) or "0"
@@ -210,7 +206,11 @@ class OperatorExpression:
     coefficients, closed under sum, scalar multiple and composition.
 
     A word (g1, g2, ..., gk) acts as g1 after g2 after ... after gk; the
-    empty word acts as the identity.
+    empty word acts as the identity.  The constructor is the one place a
+    coefficient or a word is checked and like words are collected: sum,
+    difference, scale and compose hand it their raw terms.  Text puts a
+    one-term coefficient's sign in front of its term and prints the
+    identity word as its coefficient.
     """
 
     __slots__ = ("_terms",)
@@ -222,6 +222,10 @@ class OperatorExpression:
             if coeff is NotImplemented:
                 raise TypeError("operator coefficients must be Laurent polynomials")
             word = tuple(word)
+            for gen in word:
+                if not isinstance(gen, Generator):
+                    raise TypeError(
+                        f"operator words must hold Generators, got {gen!r} in {word!r}")
             collected[word] = collected.get(word, ZERO) + coeff
         self._terms = tuple(
             sorted(
@@ -237,20 +241,15 @@ class OperatorExpression:
     def __add__(self, other: "OperatorExpression") -> "OperatorExpression":
         if not isinstance(other, OperatorExpression):
             return NotImplemented
-        return OperatorExpression(
-            [(c, w) for c, w in self._terms] + [(c, w) for c, w in other._terms])
-
-    def __neg__(self) -> "OperatorExpression":
-        return OperatorExpression([(-c, w) for c, w in self._terms])
+        return OperatorExpression(self._terms + other._terms)
 
     def __sub__(self, other: "OperatorExpression") -> "OperatorExpression":
         if not isinstance(other, OperatorExpression):
             return NotImplemented
-        return self + (-other)
+        return self + other.scale(-1)
 
     def scale(self, c: object) -> "OperatorExpression":
-        return OperatorExpression([(LaurentPolynomial._coerce(c) * coeff, w)
-                                   for coeff, w in self._terms])
+        return OperatorExpression([(c, ())]).compose(self)
 
     def compose(self, other: "OperatorExpression") -> "OperatorExpression":
         """self after other: (A.compose(B)).apply(v) == A.apply(B.apply(v))."""
@@ -273,7 +272,7 @@ class OperatorExpression:
         out: dict[Partition, RationalFunction] = {}
         for lam, coeff in v.items():
             basis = SkeinVector.basis(lam, v.max_degree)
-            image = SkeinVector.zero(v.max_degree)
+            image = SkeinVector({}, v.max_degree)
             for c, word in self._terms:
                 cur = basis
                 for gen in reversed(word):
@@ -294,29 +293,17 @@ class OperatorExpression:
         return hash(self._terms)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
+        text = ""
         for coeff, word in self._terms:
-            gens = "∘".join(g.value for g in word)
-            if coeff.is_one:
-                text = gens
-                sign = "+"
-            elif coeff == -1:
-                text = gens
-                sign = "-"
-            else:
-                body = str(coeff)
-                sign = "+"
-                if body.startswith("-") and len(coeff) == 1:
-                    sign = "-"
-                    body = body[1:]
-                text = (f"({body}) " if " " in body or "+" in body else f"{body} ") + gens
-            if not pieces:
-                pieces.append(text if sign == "+" else "-" + text)
-            else:
-                pieces.append(f"{sign} {text}")
-        return " ".join(pieces)
+            negative = len(coeff) == 1 and coeff.sorted_terms()[0][1] < 0
+            body = str(-coeff if negative else coeff)
+            if word:
+                gens = "∘".join(g.value for g in word)
+                body = (gens if body == "1"
+                        else f"({body}) {gens}" if " " in body else f"{body} {gens}")
+            text = (f"{text} {'-' if negative else '+'} {body}" if text
+                    else f"-{body}" if negative else body)
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"OperatorExpression({str(self)!r})"

@@ -471,6 +471,30 @@ def test_usage_error_partition_not_ascii_digits(capsys, command, parts):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ("1_0", "+3", "\u0663"))
+@pytest.mark.parametrize("command", (
+    ["partitions"], ["psi", "--geometry", "c3", "--max-degree"],
+    ["verify", "--suite", "parity", "--max-degree"]), ids=lambda command: command[0])
+def test_usage_error_integer_not_ascii_digits(capsys, command, value):
+    # int() reads each of these as a number; a partition argument refuses them too
+    with pytest.raises(SystemExit) as exc:
+        main([*command, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.count("usage:") == 1 and "integers must be ASCII decimal digits" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name", (
+    (["partitions"], "n"), (["psi", "--geometry", "c3", "--max-degree"], "--max-degree"),
+    (["verify", "--suite", "parity", "--max-degree"], "--max-degree")),
+    ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_negative_integer_is_refused_by_the_command(capsys, command, name):
+    # a leading "-" passes the digit check, so the command's own message shows
+    assert main([*command, "-1"]) == 2
+    assert capsys.readouterr().err == f"{name} must be nonnegative\n"
+
+
 def test_largest_partition_argument_is_accepted():
     assert _partition_arg("100000").size == 100000
 

@@ -11,14 +11,11 @@ from skeinsolve import (
     Partition,
     Q,
     RationalFunction,
+    S,
     SkeinVector,
     UNKNOT_VALUE,
     ZERO,
     Z_BRACKET,
-    apply_p01,
-    apply_p10,
-    apply_p11,
-    apply_unknot,
     cells,
     enumerate_partitions,
     hook_content_vector,
@@ -33,6 +30,10 @@ from skeinsolve.skein import (
     P11_OP,
     UNKNOT_OP,
     _APPLY,
+    apply_p01,
+    apply_p10,
+    apply_p11,
+    apply_unknot,
     box_weight,
     diagonal_part,
 )
@@ -64,6 +65,8 @@ def test_vector_arithmetic():
     v = W(EMPTY, 1) + W(BOX, 1).scale(G)
     assert v.coefficient(BOX) == RationalFunction(G)
     assert (v - v).is_zero
+    assert (W(BOX, 1) - v) == W(EMPTY, 1).scale(-1) + W(BOX, 1).scale(1 - G)
+    assert W(BOX, 1) != W(BOX, 2)
     with pytest.raises(ValueError):
         W(EMPTY, 1) + W(EMPTY, 2)
 
@@ -75,7 +78,7 @@ def test_vector_arithmetic():
 
 def test_unknot_scales():
     assert apply_unknot(W(EMPTY)) == W(EMPTY).scale(UNKNOT_VALUE)
-    assert apply_unknot(SkeinVector.zero(3)).is_zero
+    assert apply_unknot(SkeinVector({}, 3)).is_zero
     v = W(EMPTY, 1) + W(BOX, 1)
     assert apply_unknot(v) == v.scale(UNKNOT_VALUE)
 
@@ -222,6 +225,46 @@ def test_operator_rendering_deterministic():
     assert "P10" in str(op) and "O" in str(op)
 
 
+@pytest.mark.parametrize("tag, text", (
+    ("c3", "O + (γ aL) P01 - P10"),
+    ("unknot", "O + (γ a aL) P01 - P10 - (γ a^{-1}) P11"),
+    ("unknot-prime", "O - (γ a^{-1} aL) P01 - P10 + (γ a) P11")))
+def test_preset_operator_text(tag, text):
+    assert str(PRESETS[tag].operator) == text
+
+
+@pytest.mark.parametrize("op, text", (
+    (OperatorExpression(), "0"),
+    (P01_OP.scale(-AL * G), "-(γ aL) P01"),
+    (P11_OP.scale(-3), "-3 P11"),
+    (P01_OP.scale(A - G), "(-γ + a) P01"),
+    (OperatorExpression.commutator(P10_OP, P01_OP), "-P01∘P10 + P10∘P01"),
+    (OperatorExpression.commutator(P11_OP, P10_OP).scale(S),
+     "-q^{1/2} P10∘P11 + q^{1/2} P11∘P10"),
+    # the identity word prints as its coefficient
+    (OperatorExpression([(1, ())]), "1"),
+    (OperatorExpression([(1, ()), (1, (Generator.P01,))]), "1 + P01"),
+    (OperatorExpression([(-1, ())]), "-1"),
+    (OperatorExpression([(-G, ())]), "-γ"),
+    (OperatorExpression([(G + A, ()), (-AL, (Generator.P01,))]), "γ + a - aL P01")))
+def test_operator_text(op, text):
+    assert str(op) == text
+    assert repr(op) == f"OperatorExpression({text!r})"
+
+
+@pytest.mark.parametrize("c", (RationalFunction(1, S + 1), "x"))
+def test_operator_scale_rejects_a_non_polynomial(c):
+    with pytest.raises(TypeError, match="^operator coefficients must be Laurent polynomials$"):
+        P01_OP.scale(c)
+
+
+@pytest.mark.parametrize("word, bad", (
+    (("P01",), "'P01'"), ((Generator.P01, 3), "3"), ("P01", "'P'")))
+def test_operator_words_must_be_generators(word, bad):
+    with pytest.raises(TypeError, match=f"^operator words must hold Generators, got {bad} in "):
+        OperatorExpression([(1, word)])
+
+
 # ---------------------------------------------------------------------------
 # apply, one basis vector at a time, against whole-vector composition
 # ---------------------------------------------------------------------------
@@ -230,7 +273,7 @@ def test_operator_rendering_deterministic():
 def _whole_vector_apply(op: OperatorExpression, v: SkeinVector) -> SkeinVector:
     """Every generator of every word run over the whole vector, each word's
     image scaled by its coefficient, and the images added."""
-    total = SkeinVector.zero(v.max_degree)
+    total = SkeinVector({}, v.max_degree)
     for coeff, word in op._terms:
         cur = v
         for gen in reversed(word):
@@ -267,9 +310,9 @@ def test_apply_matches_whole_vector_composition_under_truncation():
 
 def test_apply_to_the_zero_vector():
     op = UNKNOT_OP - P10_OP + P01_OP.compose(P11_OP)
-    image = op.apply(SkeinVector.zero(5))
+    image = op.apply(SkeinVector({}, 5))
     assert image.is_zero and image.max_degree == 5
-    assert image == _whole_vector_apply(op, SkeinVector.zero(5))
+    assert image == _whole_vector_apply(op, SkeinVector({}, 5))
 
 
 def test_commutator_matches_whole_vector_composition_through_six():
