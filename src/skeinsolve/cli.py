@@ -25,7 +25,6 @@ from .serialize import (
     SCHEMA_VERSION,
     dumps_records,
     loads_records,
-    poly_records,
     rf_record,
     skein_vector_from_records,
     skein_vector_records,
@@ -149,14 +148,14 @@ def _cmd_partitions(args) -> int:
 def _cmd_content_poly(args) -> int:
     poly = content_polynomial(args.partition)
     _emit(args.format, {"kind": "content-polynomial", "partition": str(args.partition)},
-          [{"terms": poly_records(poly)}], [poly])
+          [{"terms": poly}], [poly])
     return 0
 
 
 def _cmd_hook_poly(args) -> int:
     poly = hook_polynomial(args.partition)
     _emit(args.format, {"kind": "hook-polynomial", "partition": str(args.partition)},
-          [{"terms": poly_records(poly)}], [poly])
+          [{"terms": poly}], [poly])
     return 0
 
 
@@ -226,7 +225,7 @@ def _cmd_solve_coefficients(args) -> int:
     _emit(args.format,
           {"kind": "coefficient-solutions", "geometry": args.geometry,
            "count": len(solutions)},
-          ({gen.value: poly_records(sm.to_polynomial()) for gen, sm in sol}
+          ({gen.value: sm.to_polynomial() for gen, sm in sol}
            for sol in ordered),
           (f"solution {i}: " + ", ".join(f"{gen.value} = {sm}" for gen, sm in sol)
            for i, sol in enumerate(ordered, start=1)))

@@ -3,12 +3,15 @@
 Polynomials serialize as lists of exponent records with decimal-string
 coefficients; skein vectors as a manifest line followed by one record per
 coefficient, sorted by (degree, reverse-lexicographic partition).  Identical
-values always produce identical bytes.
+values always produce identical bytes.  dump_line is the one writer: records
+carry LaurentPolynomials, and it prints their term lists itself, in the
+bytes json.dumps would print for the term dicts.  json only reads them back.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from .partitions import Partition
@@ -18,13 +21,6 @@ from .skein import SkeinVector
 SCHEMA_VERSION = 1
 
 VARIABLE_CONVENTIONS = "s=q^{1/2}; coefficients in Z[s^+-, a^+-, aL^+-, g^+-]"
-
-
-def poly_records(p: LaurentPolynomial) -> list[dict]:
-    return [
-        {"s": e.s, "a": e.a, "aL": e.aL, "g": e.g, "c": str(c)}
-        for e, c in p.sorted_terms()
-    ]
 
 
 def poly_from_records(records: list[dict]) -> LaurentPolynomial:
@@ -37,7 +33,7 @@ def poly_from_records(records: list[dict]) -> LaurentPolynomial:
 
 
 def rf_record(x: RationalFunction) -> dict:
-    return {"num": poly_records(x.numerator), "den": poly_records(x.denominator)}
+    return {"num": x.numerator, "den": x.denominator}
 
 
 def rf_from_record(record: dict) -> RationalFunction:
@@ -79,8 +75,25 @@ def skein_vector_from_records(records: list[dict]) -> SkeinVector:
     return SkeinVector(coeffs, header["max_degree"])
 
 
-def dump_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+def dump_line(value) -> str:
+    """Compact JSON of a dict with str keys, written in sorted key order, of
+    a list, a str (escaped to ASCII), an int, or a LaurentPolynomial as its
+    terms {"a", "aL", "c", "g", "s"} in sorted_terms order with c a decimal
+    string; anything else, a bool, float or None included, raises TypeError.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, LaurentPolynomial):
+        return "[" + ",".join([f'{{"a":{a},"aL":{aL},"c":"{c}","g":{g},"s":{s}}}'
+                               for (s, a, aL, g), c in value.sorted_terms()]) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join([f"{_quote(k)}:{dump_line(value[k])}"
+                               for k in sorted(value)]) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join([dump_line(v) for v in value]) + "]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    raise TypeError(f"cannot write a {type(value).__name__} as a record")
 
 
 def dumps_records(records: Iterable[dict]) -> str:

@@ -165,8 +165,9 @@ def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
     return SkeinVector(coeffs, max_degree)
 
 
-_GROWN: dict = {}  # Geometry -> (its weight by content, {partition: (top, H)})
+_GROWN: dict = {}  # Geometry -> (its weight by content, {partition: top})
 _GROWN_GEOMETRIES = 3  # annihilation and recursion grow all three presets
+_HOOK_H: dict = {frozenset(): ONE}  # frozenset(hook_denominator(p).items()) -> H_p
 
 
 def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -182,11 +183,14 @@ def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPoly
     with E = hook_denominator.  The chain is walked down to the first
     partition already grown and back up.  _GROWN is keyed by the Geometry
     value (x and y, not only tag), so a mutation test must build a fresh
-    Geometry; it holds the pairs of the last _GROWN_GEOMETRIES geometries
-    first grown, and a new one evicts the oldest.
+    Geometry; it holds the tops of the last _GROWN_GEOMETRIES geometries
+    first grown, and a new one evicts the oldest.  H_mu depends only on the
+    multiset of mu's hooks, which E_mu determines, so _HOOK_H keeps one H per
+    multiset, grown from H_lambda on a miss and shared by all geometries and
+    by conjugates: one copy of each, where a copy per geometry kept three.
     """
     if geom not in _GROWN:
-        _GROWN[geom] = _weights_by_content(geom), {EMPTY: (ONE, ONE)}
+        _GROWN[geom] = _weights_by_content(geom), {EMPTY: ONE}
         if len(_GROWN) > _GROWN_GEOMETRIES:
             del _GROWN[next(iter(_GROWN))]
     weight, grown = _GROWN[geom]
@@ -195,13 +199,15 @@ def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPoly
         chain.append((mu, *removable_cells(mu)[0]))
         mu = chain[-1][1]
     for mu, lam, box in reversed(chain):
-        top, den = grown[lam]
+        grown[mu] = grown[lam] * (weight(box) * monomial(1, s=2 * box.row - 1, aL=-1))
         new, old = hook_denominator(mu), hook_denominator(lam)
-        up = {d: e - old.get(d, 0) for d, e in new.items() if e > old.get(d, 0)}
-        down = {d: e - new.get(d, 0) for d, e in old.items() if e > new.get(d, 0)}
-        den = exact_div_s(den * cyclotomic_product(up), cyclotomic_product(down))
-        grown[mu] = top * (weight(box) * monomial(1, s=2 * box.row - 1, aL=-1)), den
-    return grown[p]
+        key = frozenset(new.items())
+        if key not in _HOOK_H:
+            up = {d: e - old.get(d, 0) for d, e in new.items() if e > old.get(d, 0)}
+            down = {d: e - new.get(d, 0) for d, e in old.items() if e > new.get(d, 0)}
+            h = _HOOK_H[frozenset(old.items())] * cyclotomic_product(up)
+            _HOOK_H[key] = exact_div_s(h, cyclotomic_product(down))
+    return grown[p], _HOOK_H[frozenset(hook_denominator(p).items())]
 
 
 def closed_form(geom: Geometry | str, p: Partition) -> RationalFunction:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -35,8 +36,8 @@ from skeinsolve import (
     solve_recursion,
     verify_annihilation,
 )
-from skeinsolve.partitions import BOX, EMPTY
-from skeinsolve.ring import Exponent, SignedMonomial
+from skeinsolve.partitions import BOX, EMPTY, cells
+from skeinsolve.ring import ONE, Exponent, SignedMonomial
 from skeinsolve.skein import P01_OP, P10_OP, P11_OP, UNKNOT_OP
 from skeinsolve.verify import run_suite
 
@@ -94,8 +95,10 @@ def test_hook_content_vector_edge_operators():
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """closed_form with no product memoised yet."""
+    """closed_form with no product memoised yet: no numerator, and no hook
+    denominator but the empty partition's."""
     monkeypatch.setattr(solver_mod, "_GROWN", {})
+    monkeypatch.setattr(solver_mod, "_HOOK_H", {frozenset(): ONE})
 
 
 _ONE_TAG = Geometry("one-tag", A, S * G)
@@ -132,6 +135,28 @@ def test_memo_holds_at_most_three_geometries(cold_memo):
     # an evicted geometry grows again from the empty partition
     p = Partition((3, 2, 1))
     assert closed_form(geometries[0], p) == solve_recursion(geometries[0], 6).coefficient(p)
+
+
+def test_conjugates_and_geometries_share_one_hook_denominator(cold_memo):
+    c3, unknot = PRESETS["c3"], PRESETS["unknot"]
+    psi = solve_recursion(unknot, 7)
+    for p in partitions_through(7):
+        h = solver_mod._grown(c3, p)[1]
+        assert solver_mod._grown(c3, p.conjugate())[1] is h, p
+        assert solver_mod._grown(unknot, p)[1] is h, p
+        assert closed_form(unknot, p.conjugate()) == psi.coefficient(p.conjugate()), p
+
+
+@pytest.mark.parametrize("tags", [("c3",), ("unknot-prime", "c3", "unknot")],
+                         ids=("one-preset", "three-presets"))
+def test_hook_memo_holds_one_entry_per_hook_multiset(cold_memo, tags):
+    for degree, count in ((9, 54), (12, 145)):
+        multisets = {frozenset(Counter(c.hook for c in cells(p)).items())
+                     for p in partitions_through(degree)}
+        assert len(multisets) == count
+        for tag in tags:
+            hook_content_vector(tag, degree)
+            assert len(solver_mod._HOOK_H) == count, (tag, degree)
 
 
 def test_hook_content_vector_rejects_a_negative_degree():
