@@ -16,7 +16,7 @@ check of that vector.
 
 from __future__ import annotations
 
-from functools import cache, reduce, wraps
+from functools import cache, wraps
 from operator import index
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -26,6 +26,7 @@ from .ring import (
     RationalFunction,
     cyclotomic_product,
     monomial,
+    product_s,
     q_int,
 )
 
@@ -199,9 +200,7 @@ def hook_polynomial_qpower_form(p: Partition) -> LaurentPolynomial:
     """Alternate form q^{-sum (i-1) p_i} * prod [hook]_q, kept as an
     independent cross-check of hook_polynomial."""
     shift = -2 * sum((i - 1) * part for i, part in enumerate(p, start=1))
-    return reduce(
-        lambda acc, c: acc * q_int(c.hook), cells(p), monomial(1, s=shift)
-    )
+    return product_s([monomial(1, s=shift), *(q_int(c.hook) for c in cells(p))])
 
 
 def addable_cells(p: Partition) -> list[tuple[Partition, Cell]]:

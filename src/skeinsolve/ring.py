@@ -462,6 +462,28 @@ def _list_exact_div(f: list[int], d: list[int]) -> list[int]:
     return out
 
 
+def _list_mul(f: list[int], g: list[int]) -> list[int]:
+    """Product in Z[s] of two ascending coefficient lists."""
+    if len(f) > len(g):
+        f, g = g, f
+    out = [0] * (len(f) + len(g) - 1) if f else []
+    for i, c in enumerate(f):
+        if c:
+            for j, d in enumerate(g, i):
+                out[j] += c * d
+    return out
+
+
+def product_s(factors: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
+    """Product of s-univariate Laurent polynomials, on dense coefficient
+    lists (1 for no factor); ValueError for a factor in a, aL or g."""
+    lo, acc = 0, [1]
+    for f in factors:
+        shift, coeffs = (0, []) if f.is_zero else _as_int_poly(f)
+        lo, acc = lo + shift, _list_mul(acc, coeffs)
+    return _from_slices([((0, 0, 0), lo, acc)])
+
+
 def gcd_s(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
     """Gcd over the rationals of two nonzero s-univariate Laurent polynomials.
 
@@ -509,12 +531,11 @@ def cyclotomic(d: int) -> LaurentPolynomial:
 
 
 def cyclotomic_product(exponents: Mapping[int, int]) -> LaurentPolynomial:
-    """The product of Phi_d(q)^e over an exponent vector {d: e}."""
-    out = ONE
-    for d, e in sorted(exponents.items()):
-        for _ in range(e):
-            out = out * cyclotomic(d)
-    return out
+    """The product of Phi_d(q)^e over an exponent vector {d: e}; ValueError
+    for a d below 1 or a negative e."""
+    if any(d < 1 or e < 0 for d, e in exponents.items()):
+        raise ValueError(f"cyclotomic exponents need d >= 1 and e >= 0, got {dict(exponents)}")
+    return product_s(cyclotomic(d) for d, e in exponents.items() for _ in range(e))
 
 
 # ---------------------------------------------------------------------------

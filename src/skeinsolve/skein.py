@@ -16,12 +16,13 @@ is the closed expression for (q^{1/2} - q^{-1/2})^{-1} [P10, P01]; the raw
 commutator is kept available through OperatorExpression composition as an
 independent cross-check.
 
-OperatorExpression.apply acts one basis vector at a time: it runs each word
-through the generator table on W_lambda alone, then adds each coefficient of
-that image times the input's coefficient of lambda, so a large coefficient
-of the input is multiplied once per partition of its image.  The table's
-entries apply_unknot, apply_p10, apply_p01 and apply_p11 are internal to
-this module; the package exports the operators.
+The generator table's entries apply_unknot, apply_p10, apply_p01 and
+apply_p11, internal to this module, act on one basis vector W_lambda
+truncated at n and return {mu: (numerator, k)}, meaning numerator / D^k
+with D = UNKNOT_VALUE.denominator.  OperatorExpression.apply composes each
+word on W_lambda with Laurent products alone and builds one reduced
+coefficient per partition mu of the image, which it multiplies by the
+input's coefficient of lambda.
 
 Each operation has one path: both constructors normalize what they are
 handed, a difference is a sum with a scale by -1, and an operator's scale
@@ -31,6 +32,7 @@ is a composition with a scalar on the identity word.
 from __future__ import annotations
 
 from enum import Enum
+from operator import index
 from typing import Iterable, Mapping
 
 from .partitions import (
@@ -79,10 +81,13 @@ class SkeinVector:
     __slots__ = ("_coeffs", "_max_degree")
 
     def __init__(self, coeffs: Mapping[Partition, RationalLike], max_degree: int):
+        max_degree = index(max_degree)
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         clean: dict[Partition, RationalFunction] = {}
         for p, val in coeffs.items():
+            if not isinstance(p, Partition):
+                raise TypeError(f"SkeinVector keys must be Partitions, got {type(p).__name__}")
             if p.size > max_degree:
                 raise ValueError(
                     f"partition {tuple(p)} exceeds max_degree {max_degree}")
@@ -163,34 +168,30 @@ def box_weight(gen: Generator, cell: Cell) -> LaurentPolynomial:
     raise ValueError(f"{gen.value} adds no box")
 
 
-def apply_unknot(v: SkeinVector) -> SkeinVector:
-    return v.scale(UNKNOT_VALUE)
+_D = UNKNOT_VALUE.denominator  # each action is {mu: (numerator, k)}, over D^k
 
 
-def apply_p10(v: SkeinVector) -> SkeinVector:
-    return SkeinVector(
-        {p: coeff * (UNKNOT_VALUE + diagonal_part(p)) for p, coeff in v.items()},
-        v.max_degree,
-    )
+def apply_unknot(lam: Partition, n: int) -> dict[Partition, tuple[LaurentPolynomial, int]]:
+    return {lam: (UNKNOT_VALUE.numerator, 1)}
 
 
-def _apply_raising(v: SkeinVector, gen: Generator) -> SkeinVector:
-    out: dict[Partition, RationalFunction] = {}
-    for p, coeff in v.items():
-        if p.size + 1 > v.max_degree:
-            continue  # truncated
-        for mu, cell in addable_cells(p):
-            term = coeff * box_weight(gen, cell)
-            out[mu] = out[mu] + term if mu in out else term
-    return SkeinVector(out, v.max_degree)
+def apply_p10(lam: Partition, n: int) -> dict[Partition, tuple[LaurentPolynomial, int]]:
+    return {lam: (UNKNOT_VALUE.numerator + diagonal_part(lam) * _D, 1)}
 
 
-def apply_p01(v: SkeinVector) -> SkeinVector:
-    return _apply_raising(v, Generator.P01)
+def _apply_raising(lam: Partition, n: int,
+                   gen: Generator) -> dict[Partition, tuple[LaurentPolynomial, int]]:
+    if lam.size >= n:
+        return {}  # truncated
+    return {mu: (box_weight(gen, cell), 0) for mu, cell in addable_cells(lam)}
 
 
-def apply_p11(v: SkeinVector) -> SkeinVector:
-    return _apply_raising(v, Generator.P11)
+def apply_p01(lam: Partition, n: int) -> dict[Partition, tuple[LaurentPolynomial, int]]:
+    return _apply_raising(lam, n, Generator.P01)
+
+
+def apply_p11(lam: Partition, n: int) -> dict[Partition, tuple[LaurentPolynomial, int]]:
+    return _apply_raising(lam, n, Generator.P11)
 
 
 _APPLY = {
@@ -264,25 +265,33 @@ class OperatorExpression:
         """Linear extension of the generator actions, with the same truncation
         degree as the input (raised terms beyond it are dropped).
 
-        It acts one basis vector at a time: the words run on W_lambda, whose
-        image has small coefficients, and each coefficient mu of that image
-        is multiplied once by v's coefficient of lambda and added into the
-        result at mu.
+        It acts one basis vector at a time: each word runs on W_lambda as
+        numerators over powers of D; the terms at mu are brought to their
+        largest power of D, and that one RationalFunction is multiplied by
+        v's coefficient of lambda and added at mu.
         """
+        n = v.max_degree
         out: dict[Partition, RationalFunction] = {}
         for lam, coeff in v.items():
-            basis = SkeinVector.basis(lam, v.max_degree)
-            image = SkeinVector({}, v.max_degree)
+            image: dict[Partition, list[tuple[LaurentPolynomial, int]]] = {}
             for c, word in self._terms:
-                cur = basis
+                cur = {lam: (c, 0)}
                 for gen in reversed(word):
-                    cur = _APPLY[gen](cur)
-                image = image + cur.scale(c)
-            unit = coeff == 1  # W_lambda itself: its image needs no product
-            for mu, c in image._coeffs.items():
-                term = c if unit else c * coeff
+                    step = {}
+                    for nu, (num, k) in cur.items():
+                        for mu, (f, j) in _APPLY[gen](nu, n).items():
+                            term = num * f
+                            step[mu] = (step[mu][0] + term if mu in step else term, k + j)
+                    cur = step
+                for mu, pair in cur.items():
+                    image.setdefault(mu, []).append(pair)
+            for mu, pairs in image.items():
+                top = max(k for _, k in pairs)
+                num = sum((f if k == top else f * _D ** (top - k) for f, k in pairs), ZERO)
+                term = RationalFunction(num, _D ** top)
+                term = term if coeff == 1 else term * coeff  # a basis vector needs no product
                 out[mu] = out[mu] + term if mu in out else term
-        return SkeinVector(out, v.max_degree)
+        return SkeinVector(out, n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorExpression):

@@ -108,10 +108,11 @@ def _commutator(n: int) -> Iterator[str | None]:
     for p in partitions_through(n):
         basis = SkeinVector.basis(p, max_degree=p.size + 1)
         lhs, rhs = scaled.apply(basis), bracket.apply(basis)
-        if lhs == rhs:
+        difference = lhs - rhs
+        if difference.is_zero:
             yield None
         else:
-            q = (lhs - rhs).partitions()[0]
+            q = difference.partitions()[0]
             yield (f"partition=({p}) at=({q}) scaled={lhs.coefficient(q)} "
                    f"commutator={rhs.coefficient(q)}")
 

@@ -348,19 +348,14 @@ def test_verify_branching_failure_reports_the_difference(capsys, monkeypatch):
 
 def test_verify_commutator_failure_reports_both_coefficients(capsys, monkeypatch):
     import skeinsolve.verify as verify_mod
-    from skeinsolve import (EMPTY, OperatorExpression, Partition, SkeinVector,
-                            Z_BRACKET)
-    from skeinsolve.skein import P01_OP, P10_OP, P11_OP
+    from skeinsolve import Z_BRACKET
 
     monkeypatch.setattr(verify_mod, "Z_BRACKET", 2 * Z_BRACKET)
-    basis = SkeinVector.basis(EMPTY, max_degree=1)
-    box = Partition([1])
-    scaled = P11_OP.scale(2 * Z_BRACKET).apply(basis).coefficient(box)
-    bracket = OperatorExpression.commutator(P10_OP, P01_OP).apply(basis).coefficient(box)
-    assert scaled != bracket
+    # P11 scaled by 2 (q^{1/2} - q^{-1/2}) against [P10, P01] on W_(), which
+    # is (q^{1/2} - q^{-1/2}) aL W_(1)
     assert _failing_report(capsys, "commutator") == (
-        f"first counterexample: partition=() at=(1) scaled={scaled} "
-        f"commutator={bracket}")
+        "first counterexample: partition=() at=(1) "
+        "scaled=-2aL q^{-1/2} + 2aL q^{1/2} commutator=-aL q^{-1/2} + aL q^{1/2}")
 
 
 def test_verify_symmetry_failure_reports_both_forms(capsys, monkeypatch):
@@ -385,7 +380,7 @@ def test_verify_symmetry_failure_reports_both_forms(capsys, monkeypatch):
 
 def test_verify_annihilation_failure_reports_a_coefficient(capsys, monkeypatch):
     import skeinsolve.verify as verify_mod
-    from skeinsolve import Partition, SkeinVector, geometry
+    from skeinsolve import Partition, SkeinVector
 
     grow = verify_mod.hook_content_vector
 
@@ -393,13 +388,12 @@ def test_verify_annihilation_failure_reports_a_coefficient(capsys, monkeypatch):
         return grow(tag, n) + SkeinVector.basis(Partition([2]), max_degree=n)
 
     monkeypatch.setattr(verify_mod, "hook_content_vector", perturbed)
-    # O and P10 act diagonally, so the stray W_(2) leaves a residual at (2)
-    # and none in lower degree
-    residual = geometry("c3").operator.apply(perturbed("c3", 3))
-    assert residual.partitions()[0] == Partition([2])
+    # O and P10 act diagonally, so the stray W_(2) leaves a residual at (2),
+    # minus its diagonal part aL (q^{1/2} - q^{-1/2}) (1 + q), and none in
+    # lower degree
     assert _failing_report(capsys, "annihilation") == (
-        f"first counterexample: geometry=c3 through degree 3 partition=(2) "
-        f"coefficient={residual.coefficient(Partition([2]))}")
+        "first counterexample: geometry=c3 through degree 3 partition=(2) "
+        "coefficient=aL q^{-1/2} - aL q^{3/2}")
 
 
 def test_verify_parity_failure_reports_the_sum(capsys, monkeypatch):

@@ -29,6 +29,7 @@ from skeinsolve.ring import (
     cyclotomic_product,
     exact_div_s,
     monomial_ratio,
+    product_s,
 )
 
 from strategies import exponents, laurent_polynomials, rational_functions
@@ -667,3 +668,54 @@ def test_cyclotomic_examples():
 def test_cyclotomic_product_of_powers():
     assert cyclotomic_product({}) == ONE
     assert cyclotomic_product({3: 2, 1: 1, 5: 0}) == (Q - 1) * (Q ** 2 + Q + 1) ** 2
+
+
+@pytest.mark.parametrize("exponents", ({2: -1}, {0: 0}, {-3: 1, 2: 1}, {1: 1, 3: -2}))
+def test_cyclotomic_product_rejects_a_bad_exponent_vector(exponents):
+    with pytest.raises(ValueError) as info:
+        cyclotomic_product(exponents)
+    assert str(info.value) == (
+        f"cyclotomic exponents need d >= 1 and e >= 0, got {exponents}")
+
+
+# ---------------------------------------------------------------------------
+# products of s-univariate factors on dense lists
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def s_polynomials(draw):
+    """s-univariate polynomials with negative exponents, zero, and huge or
+    negative coefficients."""
+    terms = draw(st.dictionaries(
+        st.integers(min_value=-6, max_value=6),
+        st.one_of(st.integers(min_value=-9, max_value=9),
+                  st.sampled_from((10 ** 30, -10 ** 30, 10 ** 30 + 1))),
+        max_size=6))
+    return LaurentPolynomial({Exponent(s=k): c for k, c in terms.items()})
+
+
+@given(st.lists(s_polynomials(), max_size=5))
+def test_product_s_is_the_fold_of_mul(factors):
+    expected = ONE
+    for f in factors:
+        expected = expected * f
+    got = product_s(factors)
+    assert got == expected
+    assert all(type(e) is Exponent and c for e, c in got._terms.items())
+
+
+def test_product_s_examples():
+    assert product_s([]) == ONE
+    assert product_s([S + 1, ZERO, S ** -2]) == ZERO
+    assert product_s([S ** -1 - 2, -S ** 3 + 10 ** 30]) == (
+        -S ** 2 + 2 * S ** 3 + 10 ** 30 * S ** -1 - 2 * 10 ** 30)
+    assert product_s(iter([q_int(3), q_int(2)])) == q_int(3) * q_int(2)
+
+
+@pytest.mark.parametrize("bad", (A, AL + S, G * S, ZERO + A * S ** -1))
+def test_product_s_rejects_a_factor_in_other_variables(bad):
+    with pytest.raises(ValueError, match="^polynomial involves a, aL or g$"):
+        product_s([S + 1, bad])
+    with pytest.raises(ValueError, match="^polynomial involves a, aL or g$"):
+        product_s([ZERO, bad])

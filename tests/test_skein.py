@@ -23,17 +23,12 @@ from skeinsolve import (
     partitions_through,
     q_int,
 )
-from skeinsolve.partitions import BOX, EMPTY
+from skeinsolve.partitions import BOX, EMPTY, addable_cells
 from skeinsolve.skein import (
     P01_OP,
     P10_OP,
     P11_OP,
     UNKNOT_OP,
-    _APPLY,
-    apply_p01,
-    apply_p10,
-    apply_p11,
-    apply_unknot,
     box_weight,
     diagonal_part,
 )
@@ -41,6 +36,10 @@ from skeinsolve.skein import (
 from strategies import rational_functions
 
 W = SkeinVector.basis
+
+
+def act(gen: Generator, v: SkeinVector) -> SkeinVector:
+    return OperatorExpression.generator(gen).apply(v)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +52,26 @@ def test_vector_drops_zeros_and_validates_degree():
     assert v.partitions() == [BOX]
     with pytest.raises(ValueError, match=r"^partition \(2, 1\) exceeds max_degree 2$"):
         SkeinVector({Partition((2, 1)): RationalFunction(1)}, 2)
+    with pytest.raises(ValueError, match="^max_degree must be nonnegative$"):
+        SkeinVector({}, -1)
+
+
+@pytest.mark.parametrize("key", ((1,), (), "1", 1))
+def test_vector_keys_must_be_partitions(key):
+    with pytest.raises(TypeError, match=(
+            f"^SkeinVector keys must be Partitions, got {type(key).__name__}$")):
+        SkeinVector({key: 1}, 2)
+
+
+@pytest.mark.parametrize("degree", (2.5, 2.0, "2", None))
+def test_vector_max_degree_must_be_an_integer(degree):
+    with pytest.raises(TypeError):
+        SkeinVector({BOX: 1}, degree)
+
+
+def test_vector_max_degree_is_read_as_an_int():
+    v = SkeinVector({BOX: 1}, True)
+    assert type(v.max_degree) is int and v.max_degree == 1
 
 
 def test_vector_item_order():
@@ -77,19 +96,20 @@ def test_vector_arithmetic():
 
 
 def test_unknot_scales():
-    assert apply_unknot(W(EMPTY)) == W(EMPTY).scale(UNKNOT_VALUE)
-    assert apply_unknot(SkeinVector({}, 3)).is_zero
+    O = Generator.UNKNOT
+    assert act(O, W(EMPTY)) == W(EMPTY).scale(UNKNOT_VALUE)
+    assert act(O, SkeinVector({}, 3)).is_zero
     v = W(EMPTY, 1) + W(BOX, 1)
-    assert apply_unknot(v) == v.scale(UNKNOT_VALUE)
+    assert act(O, v) == v.scale(UNKNOT_VALUE)
 
 
 def test_p10_on_empty_is_unknot_value():
-    assert apply_p10(W(EMPTY)) == W(EMPTY).scale(UNKNOT_VALUE)
+    assert act(Generator.P10, W(EMPTY)) == W(EMPTY).scale(UNKNOT_VALUE)
 
 
 def test_p10_on_box():
     expected = UNKNOT_VALUE + RationalFunction(AL * Z_BRACKET)
-    assert apply_p10(W(BOX)) == W(BOX).scale(expected)
+    assert act(Generator.P10, W(BOX)) == W(BOX).scale(expected)
 
 
 def test_p10_minus_unknot_on_row_two():
@@ -117,24 +137,32 @@ def test_box_weight_rejects_a_generator_that_adds_no_box(gen):
 
 
 def test_p01_branches():
-    assert apply_p01(W(EMPTY, 1)) == W(BOX, 1)
-    got = apply_p01(W(BOX, 2))
+    assert act(Generator.P01, W(EMPTY, 1)) == W(BOX, 1)
+    got = act(Generator.P01, W(BOX, 2))
     assert got == SkeinVector(
         {Partition((2,)): RationalFunction(1),
          Partition((1, 1)): RationalFunction(1)}, 2)
-    got = apply_p01(W(Partition((2, 1)), 4))
+    got = act(Generator.P01, W(Partition((2, 1)), 4))
     assert got.partitions() == [
         Partition((3, 1)), Partition((2, 2)), Partition((2, 1, 1))]
     assert all(v == RationalFunction(1) for _, v in got.items())
 
 
 def test_p01_truncates_at_max_degree():
-    assert apply_p01(W(BOX, 1)).is_zero
+    assert act(Generator.P01, W(BOX, 1)).is_zero
+    image = act(Generator.P01, W(BOX, 1) + W(EMPTY, 1))
+    assert image.partitions() == [BOX] and image.max_degree == 1
+
+
+def test_p11_truncates_at_max_degree():
+    assert act(Generator.P11, W(BOX, 1)).is_zero
+    image = act(Generator.P11, W(BOX, 1) + W(EMPTY, 1).scale(G))
+    assert image == W(BOX, 1).scale(G * AL)
 
 
 def test_p11_per_box_weights():
-    assert apply_p11(W(EMPTY, 1)) == W(BOX, 1).scale(AL)
-    got = apply_p11(W(BOX, 2))
+    assert act(Generator.P11, W(EMPTY, 1)) == W(BOX, 1).scale(AL)
+    got = act(Generator.P11, W(BOX, 2))
     expected = SkeinVector(
         {Partition((2,)): RationalFunction(AL * Q),
          Partition((1, 1)): RationalFunction(AL * Q ** -1)}, 2)
@@ -184,9 +212,9 @@ def test_operator_composition_order():
     # P01 after P10 scales by the eigenvalue of the source partition
     v = W(BOX, 2)
     composed = P01_OP.compose(P10_OP).apply(v)
-    assert composed == apply_p01(apply_p10(v))
+    assert composed == P01_OP.apply(P10_OP.apply(v))
     other = P10_OP.compose(P01_OP).apply(v)
-    assert other == apply_p10(apply_p01(v))
+    assert other == P10_OP.apply(P01_OP.apply(v))
     assert composed != other
 
 
@@ -213,10 +241,10 @@ def test_degree_discipline():
 def test_generator_linearity(x, y):
     v = W(EMPTY, 2).scale(x) + W(BOX, 2).scale(y)
     for gen in Generator:
-        image = _APPLY[gen](v)
-        split = (_APPLY[gen](W(EMPTY, 2)).scale(x)
-                 + _APPLY[gen](W(BOX, 2)).scale(y))
+        image = act(gen, v)
+        split = act(gen, W(EMPTY, 2)).scale(x) + act(gen, W(BOX, 2)).scale(y)
         assert image == split
+        assert image == _generator_on_vector(gen, v)
 
 
 def test_operator_rendering_deterministic():
@@ -270,6 +298,26 @@ def test_operator_words_must_be_generators(word, bad):
 # ---------------------------------------------------------------------------
 
 
+def _generator_on_vector(gen: Generator, v: SkeinVector) -> SkeinVector:
+    """One generator over a whole vector in RationalFunction arithmetic,
+    written out from UNKNOT_VALUE, diagonal_part, addable_cells and
+    box_weight, and truncated at v's degree."""
+    out: dict[Partition, RationalFunction] = {}
+    for lam, coeff in v.items():
+        if gen is Generator.UNKNOT:
+            images = [(lam, UNKNOT_VALUE)]
+        elif gen is Generator.P10:
+            images = [(lam, UNKNOT_VALUE + diagonal_part(lam))]
+        elif lam.size < v.max_degree:
+            images = [(mu, RationalFunction(box_weight(gen, cell)))
+                      for mu, cell in addable_cells(lam)]
+        else:
+            images = []
+        for mu, value in images:
+            out[mu] = out.get(mu, RationalFunction(0)) + coeff * value
+    return SkeinVector(out, v.max_degree)
+
+
 def _whole_vector_apply(op: OperatorExpression, v: SkeinVector) -> SkeinVector:
     """Every generator of every word run over the whole vector, each word's
     image scaled by its coefficient, and the images added."""
@@ -277,9 +325,36 @@ def _whole_vector_apply(op: OperatorExpression, v: SkeinVector) -> SkeinVector:
     for coeff, word in op._terms:
         cur = v
         for gen in reversed(word):
-            cur = _APPLY[gen](cur)
+            cur = _generator_on_vector(gen, cur)
         total = total + cur.scale(coeff)
     return total
+
+
+# repeated O and P10 in one word, and words of different D-powers landing on
+# the same partition
+_MIXED_WORDS = (P10_OP.compose(P10_OP).compose(P01_OP) - P11_OP.compose(P10_OP)
+                + UNKNOT_OP.compose(UNKNOT_OP))
+
+
+def test_mixed_words_text():
+    assert str(_MIXED_WORDS) == "O∘O - P11∘P10 + P10∘P10∘P01"
+
+
+@pytest.mark.parametrize("extra", (0, 1, 2))
+def test_mixed_words_on_every_basis_vector_through_six(extra):
+    for p in partitions_through(6):
+        basis = W(p, p.size + extra)
+        image = _MIXED_WORDS.apply(basis)
+        assert image == _whole_vector_apply(_MIXED_WORDS, basis), p
+        assert image.max_degree == p.size + extra
+
+
+@pytest.mark.parametrize("tag", sorted(PRESETS))
+def test_mixed_words_on_psi(tag):
+    psi = hook_content_vector(PRESETS[tag], 6)
+    image = _MIXED_WORDS.apply(psi)
+    assert image == _whole_vector_apply(_MIXED_WORDS, psi)
+    assert not image.is_zero
 
 
 @pytest.mark.parametrize("tag", sorted(PRESETS))
