@@ -203,7 +203,8 @@ def hook_polynomial_qpower_form(p: Partition) -> LaurentPolynomial:
     return product_s([monomial(1, s=shift), *(q_int(c.hook) for c in cells(p))])
 
 
-def addable_cells(p: Partition) -> list[tuple[Partition, Cell]]:
+@_cache_of(Partition)
+def addable_cells(p: Partition) -> tuple[tuple[Partition, Cell], ...]:
     """All ways of adding one box: (enlarged partition, the added cell), a
     corner of the enlarged diagram, so its arm and leg are 0."""
     out = []
@@ -216,10 +217,11 @@ def addable_cells(p: Partition) -> list[tuple[Partition, Cell]]:
         else:
             grown.append(1)
         out.append((Partition(grown), Cell(row, cur + 1, 0, 0)))
-    return out
+    return tuple(out)
 
 
-def removable_cells(p: Partition) -> list[tuple[Partition, Cell]]:
+@_cache_of(Partition)
+def removable_cells(p: Partition) -> tuple[tuple[Partition, Cell], ...]:
     """All ways of removing one corner box: (shrunk partition, the removed
     cell), a corner of p, so its arm and leg are 0."""
     if not p:
@@ -233,7 +235,7 @@ def removable_cells(p: Partition) -> list[tuple[Partition, Cell]]:
         if shrunk[row - 1] == 0:
             shrunk.pop()
         out.append((Partition(shrunk), Cell(row, p[row - 1], 0, 0)))
-    return out
+    return tuple(out)
 
 
 def parity_sum(p: Partition) -> int:

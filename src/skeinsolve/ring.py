@@ -11,8 +11,8 @@ into a denominator is an error, not a silent extension of the ring.
 
 from __future__ import annotations
 
-from functools import cache
 from math import gcd as _int_gcd
+from operator import index
 from typing import Iterable, Mapping, NamedTuple, Union
 
 
@@ -186,23 +186,34 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return ZERO
-        shorter, longer = self._terms, other._terms
-        if len(shorter) > len(longer):
-            shorter, longer = longer, shorter
-        # sum on plain exponent tuples; each surviving key becomes an
-        # Exponent once, not once per term product
-        acc: dict[tuple[int, int, int, int], int] = {}
-        get = acc.get
-        rows = [(s, a, aL, g, c) for (s, a, aL, g), c in longer.items()]
-        for (s1, a1, aL1, g1), c1 in shorter.items():
-            for s2, a2, aL2, g2, c2 in rows:
-                key = (s1 + s2, a1 + a2, aL1 + aL2, g1 + g2)
-                acc[key] = get(key, 0) + c1 * c2
+        short_poly, long_poly = self, other
+        if len(self._terms) > len(other._terms):
+            short_poly, long_poly = other, self
+        shorter, longer = short_poly._terms, long_poly._terms
         make = tuple.__new__
+        if len(shorter) < 2:
+            if not shorter:
+                return ZERO
+            # one term: shifting exponents is injective and no coefficient
+            # product vanishes, so each term maps to one term
+            ((s1, a1, aL1, g1), c1), = shorter.items()
+            if c1 == 1 and not (s1 or a1 or aL1 or g1):
+                return long_poly  # values are immutable
+            terms = {make(Exponent, (s1 + s2, a1 + a2, aL1 + aL2, g1 + g2)): c1 * c2
+                     for (s2, a2, aL2, g2), c2 in longer.items()}
+        else:
+            # sum on plain exponent tuples; each surviving key becomes an
+            # Exponent once, not once per term product
+            acc: dict[tuple[int, int, int, int], int] = {}
+            get = acc.get
+            rows = [(s, a, aL, g, c) for (s, a, aL, g), c in longer.items()]
+            for (s1, a1, aL1, g1), c1 in shorter.items():
+                for s2, a2, aL2, g2, c2 in rows:
+                    key = (s1 + s2, a1 + a2, aL1 + aL2, g1 + g2)
+                    acc[key] = get(key, 0) + c1 * c2
+            terms = {make(Exponent, key): c for key, c in acc.items() if c}
         result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = {make(Exponent, key): c for key, c in acc.items() if c}
+        result._terms = terms
         return result
 
     __rmul__ = __mul__
@@ -213,14 +224,16 @@ class LaurentPolynomial:
             if sm is None:
                 raise ValueError("negative powers require a monomial with coefficient +/-1")
             return LaurentPolynomial({_exp_scale(sm.exponent, n): sm.sign ** (n & 1)})
-        result = ONE
+        # square only while bits remain, and start from the first set bit
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return ONE if result is None else result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -230,6 +243,9 @@ class LaurentPolynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant hashes like the int it equals
+        if self._terms.keys() <= {ZERO_EXP}:
+            return hash(self._terms.get(ZERO_EXP, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- substitution ----------------------------------------------------
@@ -252,22 +268,30 @@ class LaurentPolynomial:
             if sm is None:
                 raise ValueError(f"image of {name} must be a signed monomial")
             monomials[name] = sm
-        out: dict[Exponent, int] = {}
-        for e, c in self._terms.items():
-            exp = Exponent(
-                s=0 if "s" in monomials else e.s,
-                a=0 if "a" in monomials else e.a,
-                aL=0 if "aL" in monomials else e.aL,
-                g=0 if "g" in monomials else e.g,
-            )
-            coeff = c
-            for name, sm in monomials.items():
-                k = getattr(e, name)
-                exp = _exp_add(exp, _exp_scale(sm.exponent, k))
-                if sm.sign < 0 and k % 2:
-                    coeff = -coeff
-            out[exp] = out.get(exp, 0) + coeff
-        return LaurentPolynomial(out)
+        # column j of the matrix is the image exponent of variable j (its
+        # unit vector if unmapped), and the sign flips with the parity of
+        # the exponent sum over the negated variables; (ss, sa, sl, sg) is
+        # the image of s, and so on
+        columns = [Exponent(*(int(i == j) for i in range(4))) for j in range(4)]
+        odd = [0, 0, 0, 0]
+        for name, sm in monomials.items():
+            j = VARIABLES.index(name)
+            columns[j] = sm.exponent
+            odd[j] = int(sm.sign < 0)
+        (ss, sa, sl, sg), (as_, aa, al, ag), (ls, la, ll, lg), (gs, ga, gl, gg) = columns
+        os_, oa, ol, og = odd
+        acc: dict[tuple[int, int, int, int], int] = {}
+        get = acc.get
+        for (s, a, aL, g), c in self._terms.items():
+            key = (s * ss + a * as_ + aL * ls + g * gs, s * sa + a * aa + aL * la + g * ga,
+                   s * sl + a * al + aL * ll + g * gl, s * sg + a * ag + aL * lg + g * gg)
+            if (s * os_ + a * oa + aL * ol + g * og) & 1:
+                c = -c
+            acc[key] = get(key, 0) + c
+        make = tuple.__new__
+        result = LaurentPolynomial.__new__(LaurentPolynomial)
+        result._terms = {make(Exponent, key): c for key, c in acc.items() if c}
+        return result
 
     # -- rendering -------------------------------------------------------
 
@@ -294,7 +318,9 @@ G = LaurentPolynomial({Exponent(g=1): 1})
 
 
 def monomial(coeff: int, s: int = 0, a: int = 0, aL: int = 0, g: int = 0) -> LaurentPolynomial:
-    return LaurentPolynomial({Exponent(s, a, aL, g): coeff})
+    """coeff s^s a^a aL^aL g^g; each argument is read through operator.index,
+    so a float or a string raises TypeError."""
+    return LaurentPolynomial({Exponent(index(s), index(a), index(aL), index(g)): index(coeff)})
 
 
 def q_int(n: int) -> LaurentPolynomial:
@@ -467,10 +493,11 @@ def _list_mul(f: list[int], g: list[int]) -> list[int]:
     if len(f) > len(g):
         f, g = g, f
     out = [0] * (len(f) + len(g) - 1) if f else []
+    nonzero = [(j, d) for j, d in enumerate(g) if d]  # a polynomial in q = s^2 has zero odd slots
     for i, c in enumerate(f):
         if c:
-            for j, d in enumerate(g, i):
-                out[j] += c * d
+            for j, d in nonzero:
+                out[i + j] += c * d
     return out
 
 
@@ -513,29 +540,60 @@ def exact_div_s(f: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomial
     return _from_slices(quotients)
 
 
-@cache
-def cyclotomic(d: int) -> LaurentPolynomial:
-    """The cyclotomic polynomial Phi_d(q), with q = s^2.
+def _mobius(n: int) -> int:
+    """The Moebius function: 0 if a square divides n, else (-1)^(prime factors)."""
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
 
-    q^d - 1 is the product of Phi_e over the divisors e of d, so Phi_d is
-    q^d - 1 divided by Phi_e for every proper divisor e; each division is
-    exact or raises.
-    """
-    if d < 1:
-        raise ValueError("cyclotomic requires d >= 1")
-    out = LaurentPolynomial({Exponent(s=2 * d): 1, ZERO_EXP: -1})
-    for e in range(1, d // 2 + 1):
-        if d % e == 0:
-            out = exact_div_s(out, cyclotomic(e))
-    return out
+
+def _times_binomial(f: list[int], n: int) -> list[int]:
+    """(q^n - 1) f on ascending coefficient lists."""
+    return [x - y for x, y in zip([0] * n + f, f + [0] * n)]
 
 
 def cyclotomic_product(exponents: Mapping[int, int]) -> LaurentPolynomial:
     """The product of Phi_d(q)^e over an exponent vector {d: e}; ValueError
-    for a d below 1 or a negative e."""
+    for a d below 1 or a negative e.
+
+    q^n - 1 is the product of Phi_d over the divisors d of n, so by Moebius
+    inversion Phi_d is the product of (q^n - 1)^mu(d/n) over the divisors n
+    of d, and the whole product is that of (q^n - 1)^b_n with
+    b_n = sum over the multiples d of n of e_d mu(d/n).  It is formed on
+    ascending coefficient lists in q: a product by each q^n - 1 with b_n > 0,
+    then an exact division by each with b_n < 0, O(length) per step; an
+    inexact division raises ArithmeticError.
+    """
     if any(d < 1 or e < 0 for d, e in exponents.items()):
         raise ValueError(f"cyclotomic exponents need d >= 1 and e >= 0, got {dict(exponents)}")
-    return product_s(cyclotomic(d) for d, e in exponents.items() for _ in range(e))
+    binomials: dict[int, int] = {}
+    for d, e in exponents.items():
+        if e:
+            for n in range(1, d + 1):
+                if d % n == 0:
+                    binomials[n] = binomials.get(n, 0) + e * _mobius(d // n)
+    f = [1]
+    for n, b in binomials.items():
+        for _ in range(b):
+            f = _times_binomial(f, n)
+    for n, b in binomials.items():
+        for _ in range(-b):
+            quotient = []
+            for i in range(len(f) - n):  # f = (q^n - 1) quotient, from the bottom
+                quotient.append((quotient[i - n] if i >= n else 0) - f[i])
+            if _times_binomial(quotient, n) != f:
+                raise ArithmeticError("inexact polynomial division")
+            f = quotient
+    make = tuple.__new__
+    result = LaurentPolynomial.__new__(LaurentPolynomial)
+    result._terms = {make(Exponent, (2 * i, 0, 0, 0)): c for i, c in enumerate(f) if c}
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +725,9 @@ class RationalFunction:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
+        # over 1 it hashes like its numerator, which it equals
+        if self._den.is_one:
+            return hash(self._num)
         return hash((self._num, self._den))
 
     # -- substitution ----------------------------------------------------

@@ -38,6 +38,7 @@ from typing import Iterable, Mapping
 from .partitions import (
     Cell,
     Partition,
+    _cache_of,
     addable_cells,
     content_polynomial,
     partition_sort_key,
@@ -152,6 +153,7 @@ class SkeinVector:
         return f"SkeinVector({body!r}, max_degree={self._max_degree})"
 
 
+@_cache_of(Partition)
 def diagonal_part(p: Partition) -> LaurentPolynomial:
     """P10 - unknot on the basis vector of p: aL (q^{1/2} - q^{-1/2}) c_p(q)."""
     return AL * Z_BRACKET * content_polynomial(p)

@@ -45,6 +45,7 @@ from .ring import (
     exact_div_s,
     monomial,
     monomial_ratio,
+    product_s,
 )
 from .skein import (
     Generator,
@@ -205,7 +206,7 @@ def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPoly
         if key not in _HOOK_H:
             up = {d: e - old.get(d, 0) for d, e in new.items() if e > old.get(d, 0)}
             down = {d: e - new.get(d, 0) for d, e in old.items() if e > new.get(d, 0)}
-            h = _HOOK_H[frozenset(old.items())] * cyclotomic_product(up)
+            h = product_s([_HOOK_H[frozenset(old.items())], cyclotomic_product(up)])
             _HOOK_H[key] = exact_div_s(h, cyclotomic_product(down))
     return grown[p], _HOOK_H[frozenset(hook_denominator(p).items())]
 

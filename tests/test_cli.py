@@ -271,6 +271,22 @@ def test_suite_checks_one_identity_per_item(suite, checked):
     assert (report.checked, report.failures) == (checked, 0)
 
 
+@pytest.mark.parametrize("line", [
+    "suite=recursion max-degree=8 checked=201 failures=0 pass",
+    "suite=branching max-degree=12 checked=271 failures=0 pass",
+    "suite=commutator max-degree=10 checked=139 failures=0 pass",
+    "suite=symmetry max-degree=8 checked=67 failures=0 pass",
+    "suite=annihilation max-degree=8 checked=3 failures=0 pass",
+    "suite=parity max-degree=15 checked=684 failures=0 pass",
+    "suite=hookforms max-degree=12 checked=544 failures=0 pass"],
+    ids=lambda line: line.split()[0].removeprefix("suite="))
+def test_suite_at_its_default_degree_checks_every_identity_and_passes(line):
+    # a kernel change that skips an identity or breaks one shows here, and
+    # not only in the benchmark's oracle
+    suite = line.split()[0].removeprefix("suite=")
+    assert run_suite(suite).lines() == [line]
+
+
 def test_suite_report_starts_at_zero_and_keeps_the_first_counterexample():
     report = SuiteReport(suite="parity", max_degree=4)
     assert (report.checked, report.failures) == (0, 0)

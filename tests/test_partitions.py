@@ -73,10 +73,13 @@ _MEMO_PROBE = """
 import json, sys
 from skeinsolve import Partition, closed_form, enumerate_partitions
 from skeinsolve.partitions import (
-    cells, content_polynomial, hook_denominator, hook_polynomial)
+    addable_cells, cells, content_polynomial, hook_denominator, hook_polynomial,
+    removable_cells)
+from skeinsolve.skein import diagonal_part
 p = Partition((2, 1))
 calls = [(f.__name__, f, p, (2, 1)) for f in (
-    cells, content_polynomial, hook_denominator, hook_polynomial)]
+    cells, content_polynomial, hook_denominator, hook_polynomial,
+    addable_cells, removable_cells, diagonal_part)]
 calls += [("enumerate_partitions", enumerate_partitions, 2, 2.0),
           ("closed_form", lambda x: closed_form("c3", x), p, (2, 1))]
 if sys.argv[1] == "typed-first":
@@ -107,7 +110,7 @@ def test_memoised_functions_answer_a_plain_tuple_whatever_came_first():
     # memo keyed on them alone would answer only after the typed call
     first, after = _plain_outcomes("plain-first"), _plain_outcomes("typed-first")
     assert first == after
-    assert len(first) == 6
+    assert len(first) == 9
     assert all(text.startswith("TypeError: ") for _, text in first), first
 
 

@@ -25,12 +25,13 @@ from skeinsolve.ring import (
     SignedMonomial,
     _list_exact_div,
     _list_prem,
-    cyclotomic,
     cyclotomic_product,
     exact_div_s,
     monomial_ratio,
     product_s,
 )
+
+import skeinsolve.ring as ring_mod
 
 from strategies import exponents, laurent_polynomials, rational_functions
 
@@ -108,10 +109,86 @@ def test_mul_cross_terms_cancel():
     assert ((S + A) * (S - A)).sorted_terms() == [(Exponent(a=2), -1), (Exponent(s=2), 1)]
 
 
+def _dict_product(f, g):
+    out = {}
+    for e1, c1 in f.sorted_terms():
+        for e2, c2 in g.sorted_terms():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+_COEFFICIENTS = st.one_of(st.integers(min_value=-9, max_value=9),
+                          st.sampled_from((10 ** 30, -10 ** 30 - 1)))
+one_term_operands = st.one_of(
+    _COEFFICIENTS,  # ints, 0 among them
+    st.builds(lambda c: LaurentPolynomial({Exponent(): c}), _COEFFICIENTS),
+    st.builds(lambda sign, e: LaurentPolynomial({e: sign}), st.sampled_from((1, -1)), exponents()),
+    st.builds(lambda c, e: LaurentPolynomial({e: c}), _COEFFICIENTS, exponents()),
+)
+
+
+@given(one_term_operands, laurent_polynomials(), st.booleans())
+def test_mul_by_a_one_term_operand_matches_a_dict_product(m, f, m_first):
+    got = m * f if m_first else f * m
+    poly = m if isinstance(m, LaurentPolynomial) else monomial(m)
+    assert {tuple(e): c for e, c in got._terms.items()} == _dict_product(poly, f)
+    assert all(type(e) is Exponent and c for e, c in got._terms.items())
+
+
+def test_mul_by_one_returns_the_other_operand():
+    f = 3 * Q - A * S
+    assert f * ONE is f and ONE * f is f and f * 1 is f and 1 * f is f
+    assert -1 * f == -f and (f * ZERO).is_zero and (0 * f).is_zero
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_power_matches_repeated_products(n):
+    x = (S - 2 * A) * G + 10 ** 20
+    expected = ONE
+    for _ in range(n):
+        expected = expected * x
+    assert x ** n == expected
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    # n ** k takes bit_length - 1 squarings and popcount - 1 products
+    products = []
+    mul = LaurentPolynomial.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counting)
+    d = Q - 1
+    counts = []
+    for n in range(10):
+        products.clear()
+        d ** n
+        counts.append(len(products))
+    assert counts == [0, 0, 1, 2, 2, 3, 3, 4, 3, 4]
+
+
 def test_negative_power_of_monomial_only():
     assert (A * S) ** -2 == monomial(1, s=-2, a=-2)
     with pytest.raises(ValueError):
         (S + 1) ** -1
+
+
+@pytest.mark.parametrize("args, kwargs", (
+    ((1,), {"s": 0.5}), ((1.5,), {}), ((1,), {"a": "2"}), ((Fraction(1),), {}),
+    ((1,), {"g": 2.0}), ((1,), {"aL": Fraction(3)})))
+def test_monomial_rejects_a_value_that_is_no_integer(args, kwargs):
+    # int() would truncate 0.5 to 0 and print 1.5 as it is
+    with pytest.raises(TypeError):
+        monomial(*args, **kwargs)
+
+
+def test_monomial_examples():
+    assert monomial(-3, s=1, g=-2) == -3 * S * G ** -2
+    assert monomial(0, a=4).is_zero
+    assert str(monomial(1, s=-1)) == "q^{-1/2}"
 
 
 def test_canonical_form_drops_zeros():
@@ -467,6 +544,26 @@ def test_rf_equal_by_reduced_terms():
     assert RationalFunction(2) == 2
 
 
+def test_a_constant_or_a_fraction_over_one_hashes_like_what_it_equals():
+    assert {2: "x"}[LaurentPolynomial({Exponent(): 2})] == "x"
+    assert {A * S: 1}.get(RationalFunction(A * S)) == 1
+    assert {0: "zero"}[ZERO] == {0: "zero"}[RationalFunction(0)] == "zero"
+
+
+@given(st.one_of(st.integers(min_value=-3, max_value=3),
+                 st.integers(min_value=10 ** 20),
+                 laurent_polynomials(max_terms=2)))
+def test_equal_values_hash_equal_across_int_polynomial_and_rational(value):
+    poly = value if isinstance(value, LaurentPolynomial) else monomial(value)
+    forms = [poly, RationalFunction(poly), RationalFunction(poly * (1 + Q), 1 + Q)]
+    if isinstance(value, int):
+        forms.append(value)
+    for x in forms:
+        for y in forms:
+            assert x == y and hash(x) == hash(y)
+            assert {x: "v"}[y] == "v"
+
+
 @given(rational_functions(), rational_functions(), rational_functions())
 def test_rf_equal_is_congruence(x, y, z):
     assert x == x
@@ -618,6 +715,26 @@ def test_substitute_is_ring_homomorphism(f, g):
     assert (f + g).substitute(images) == f.substitute(images) + g.substitute(images)
 
 
+_VARIABLES = ("s", "a", "aL", "g")
+signed_monomial_images = st.one_of(
+    st.sampled_from((1, -1)),
+    st.builds(lambda sign, e: LaurentPolynomial({e: sign}), st.sampled_from((1, -1)), exponents()))
+
+
+@given(laurent_polynomials(), st.dictionaries(st.sampled_from(_VARIABLES), signed_monomial_images))
+def test_substitute_matches_a_per_term_reference(f, images):
+    expected = ZERO
+    for e, c in f.sorted_terms():
+        term = monomial(c)
+        for name, k in zip(_VARIABLES, e):
+            image = images.get(name, monomial(1, **{name: 1}))
+            term = term * (image if isinstance(image, LaurentPolynomial) else monomial(image)) ** k
+        expected = expected + term
+    got = f.substitute(images)
+    assert got == expected
+    assert all(type(e) is Exponent and c for e, c in got._terms.items())
+
+
 # ---------------------------------------------------------------------------
 # quantum integers
 # ---------------------------------------------------------------------------
@@ -653,16 +770,54 @@ def test_cyclotomic_factors_multiply_to_q_power_minus_one():
         product = ONE
         for d in range(1, n + 1):
             if n % d == 0:
-                product = product * cyclotomic(d)
+                product = product * cyclotomic_product({d: 1})
         assert product == Q ** n - 1, n
 
 
 def test_cyclotomic_examples():
-    assert cyclotomic(1) == Q - 1
-    assert cyclotomic(2) == Q + 1
-    assert cyclotomic(12) == Q ** 4 - Q ** 2 + 1
+    assert cyclotomic_product({1: 1}) == Q - 1
+    assert cyclotomic_product({2: 1}) == Q + 1
+    assert cyclotomic_product({12: 1}) == Q ** 4 - Q ** 2 + 1
     with pytest.raises(ValueError):
-        cyclotomic(0)
+        cyclotomic_product({0: 1})
+
+
+_PHI = {}
+
+
+def _phi_by_division(d):
+    # Phi_d as q^d - 1 divided by Phi_e for each proper divisor e
+    if d not in _PHI:
+        out = Q ** d - 1
+        for e in range(1, d):
+            if d % e == 0:
+                out = exact_div_s(out, _phi_by_division(e))
+        _PHI[d] = out
+    return _PHI[d]
+
+
+@given(st.dictionaries(st.integers(min_value=1, max_value=30),
+                       st.integers(min_value=0, max_value=3), max_size=6))
+def test_cyclotomic_product_matches_the_divisor_recursion(exponents):
+    expected = ONE
+    for d, e in exponents.items():
+        for _ in range(e):
+            expected = expected * _phi_by_division(d)
+    got = cyclotomic_product(exponents)
+    assert got == expected
+    assert all(type(e) is Exponent and c for e, c in got._terms.items())
+
+
+@pytest.mark.parametrize("mobius, exponents", (
+    (lambda n: -1, {2: 1}),  # more binomials to divide by than degree
+    (lambda n: 1 if n == 1 else -1, {4: 1}),  # (q^4 - 1)/(q - 1) over q^2 - 1
+))
+def test_cyclotomic_product_raises_on_an_inexact_division(monkeypatch, mobius, exponents):
+    # a wrong inversion leaves a binomial that does not divide: it raises
+    # rather than return a wrong polynomial
+    monkeypatch.setattr(ring_mod, "_mobius", mobius)
+    with pytest.raises(ArithmeticError, match="^inexact polynomial division$"):
+        cyclotomic_product(exponents)
 
 
 def test_cyclotomic_product_of_powers():
