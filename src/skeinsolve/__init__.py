@@ -14,7 +14,6 @@ from .ring import (
     S,
     SignedMonomial,
     ZERO,
-    gcd_s,
     monomial,
     q_int,
 )

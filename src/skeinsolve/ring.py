@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd as _int_gcd
 from operator import index
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 
 class DenominatorNotSUnivariateError(ValueError):
@@ -180,7 +180,7 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __rsub__(self, other: PolyLike) -> "LaurentPolynomial":
-        return (-self) + other
+        return (-self).__add__(other)  # NotImplemented for an operand it cannot coerce
 
     def __mul__(self, other: PolyLike) -> "LaurentPolynomial":
         other = self._coerce(other)
@@ -371,25 +371,23 @@ def _from_int_poly(coeffs: list[int]) -> LaurentPolynomial:
     return _from_slices([((0, 0, 0), 0, coeffs)])
 
 
-def _s_slices(f: LaurentPolynomial) -> dict[tuple[int, int, int], dict[int, int]]:
-    """Group the terms of f by their (a, aL, g) exponents into s-slices."""
-    out: dict[tuple[int, int, int], dict[int, int]] = {}
+def _slices(f: LaurentPolynomial) -> Iterator[tuple[tuple[int, int, int], int, list[int]]]:
+    """Group the terms of f by their (a, aL, g) exponents and yield each
+    s-slice as (key, lo, coeffs), the slice being s^lo * sum coeffs[i] s^i.
+    A slice is made dense only when the caller's loop reaches it."""
+    pieces: dict[tuple[int, int, int], dict[int, int]] = {}
     for (s, a, aL, g), c in f._terms.items():
-        piece = out.get((a, aL, g))
+        piece = pieces.get((a, aL, g))
         if piece is None:
-            out[(a, aL, g)] = {s: c}
+            pieces[(a, aL, g)] = {s: c}
         else:
             piece[s] = c
-    return out
-
-
-def _dense(piece: dict[int, int]) -> tuple[int, list[int]]:
-    """(lo, coeffs) with the slice equal to s^lo * sum coeffs[i] s^i."""
-    lo = min(piece)
-    coeffs = [0] * (max(piece) - lo + 1)
-    for k, c in piece.items():
-        coeffs[k - lo] = c
-    return lo, coeffs
+    for key, piece in pieces.items():
+        lo = min(piece)
+        coeffs = [0] * (max(piece) - lo + 1)
+        for k, c in piece.items():
+            coeffs[k - lo] = c
+        yield key, lo, coeffs
 
 
 def _list_content(f: Iterable[int]) -> int:
@@ -509,35 +507,6 @@ def product_s(factors: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
         shift, coeffs = (0, []) if f.is_zero else _as_int_poly(f)
         lo, acc = lo + shift, _list_mul(acc, coeffs)
     return _from_slices([((0, 0, 0), lo, acc)])
-
-
-def gcd_s(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    """Gcd over the rationals of two nonzero s-univariate Laurent polynomials.
-
-    The result is primitive with positive leading coefficient and nonzero
-    constant term.  Raises ValueError if either input is zero or involves
-    a, aL or g.
-    """
-    _, fc = _as_int_poly(f)
-    _, gc = _as_int_poly(g)
-    return _from_int_poly(_list_gcd(fc, gc))
-
-
-def exact_div_s(f: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomial:
-    """Exact division of f by an s-univariate d, slice by slice.
-
-    d's power of s is a unit, so it only shifts the quotient.
-    """
-    if d.is_one:
-        return f
-    if f.is_zero:
-        return ZERO
-    shift, dc = _as_int_poly(d)
-    quotients = []
-    for key, piece in _s_slices(f).items():
-        lo, coeffs = _dense(piece)
-        quotients.append((key, lo - shift, _list_exact_div(coeffs, dc)))
-    return _from_slices(quotients)
 
 
 def _mobius(n: int) -> int:
@@ -670,10 +639,14 @@ class RationalFunction:
         b, d = self._den, other._den
         if b == d:
             return RationalFunction(self._num + other._num, b)
-        # over the lcm b * (d/g); both quotients are exact in Z[s]
-        g = gcd_s(b, d)
-        d_g = exact_div_s(d, g)
-        return RationalFunction(self._num * d_g + other._num * exact_div_s(b, g), b * d_g)
+        # over the lcm b * (d/g); both denominators are normalized, so they
+        # lie in Z[s] with a nonzero constant term, and both quotients are exact
+        _, bc = _as_int_poly(b)
+        _, dc = _as_int_poly(d)
+        g = _list_gcd(bc, dc)
+        b_g, d_g = _list_exact_div(bc, g), _list_exact_div(dc, g)
+        return RationalFunction(self._num * _from_int_poly(d_g) + other._num * _from_int_poly(b_g),
+                                _from_int_poly(_list_mul(bc, d_g)))
 
     __radd__ = __add__
 
@@ -687,7 +660,7 @@ class RationalFunction:
         return self + (-other)
 
     def __rsub__(self, other: RationalLike) -> "RationalFunction":
-        return (-self) + other
+        return (-self).__add__(other)  # NotImplemented for an operand it cannot coerce
 
     def __mul__(self, other: RationalLike) -> "RationalFunction":
         other = _coerce_rf(other)
@@ -715,7 +688,8 @@ class RationalFunction:
         return self * _new_rf(*_extract_denominator_unit(other._den, other._num))
 
     def __rtruediv__(self, other: RationalLike) -> "RationalFunction":
-        return _coerce_rf(other) / self
+        other = _coerce_rf(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, LaurentPolynomial)):
@@ -805,8 +779,7 @@ def _cancel_common(num: LaurentPolynomial,
         return num, den
     slices = []
     common: list[int] | None = None
-    for key, piece in _s_slices(num).items():
-        lo, coeffs = _dense(piece)
+    for key, lo, coeffs in _slices(num):
         slices.append((key, lo, coeffs))
         common = coeffs if common is None else _list_gcd(common, coeffs)
         if len(common) == 1:

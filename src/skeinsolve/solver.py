@@ -42,10 +42,8 @@ from .ring import (
     SignedMonomial,
     ZERO,
     cyclotomic_product,
-    exact_div_s,
     monomial,
     monomial_ratio,
-    product_s,
 )
 from .skein import (
     Generator,
@@ -168,7 +166,7 @@ def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
 
 _GROWN: dict = {}  # Geometry -> (its weight by content, {partition: top})
 _GROWN_GEOMETRIES = 3  # annihilation and recursion grow all three presets
-_HOOK_H: dict = {frozenset(): ONE}  # frozenset(hook_denominator(p).items()) -> H_p
+_HOOK_H: dict = {}  # frozenset(hook_denominator(p).items()) -> H_p
 
 
 def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -178,17 +176,16 @@ def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPoly
     r, column c: hook 1, content c - r, and 1 more on the r - 1 hooks above
     and c - 1 to its left, so top's power of s, sum(hook - content), gains 2r - 1:
 
-        top_mu = top_lambda raising_weight(box) s^{2r - 1} aL^{-1},
-        H_mu   = H_lambda Phi^{(E_mu - E_lambda)^+} / Phi^{(E_mu - E_lambda)^-},
+        top_mu = top_lambda raising_weight(box) s^{2r - 1} aL^{-1}.
 
-    with E = hook_denominator.  The chain is walked down to the first
-    partition already grown and back up.  _GROWN is keyed by the Geometry
-    value (x and y, not only tag), so a mutation test must build a fresh
-    Geometry; it holds the tops of the last _GROWN_GEOMETRIES geometries
-    first grown, and a new one evicts the oldest.  H_mu depends only on the
-    multiset of mu's hooks, which E_mu determines, so _HOOK_H keeps one H per
-    multiset, grown from H_lambda on a miss and shared by all geometries and
-    by conjugates: one copy of each, where a copy per geometry kept three.
+    The chain is walked down to the first partition already grown and back
+    up.  _GROWN is keyed by the Geometry value (x and y, not only tag), so a
+    mutation test must build a fresh Geometry; it holds the tops of the last
+    _GROWN_GEOMETRIES geometries first grown, and a new one evicts the
+    oldest.  H_p depends only on the multiset of p's hooks, which
+    E_p = hook_denominator(p) determines, so _HOOK_H keeps one H per
+    multiset, cyclotomic_product(E_p) on a miss, shared by all geometries
+    and by conjugates: one copy of each, where a copy per geometry kept three.
     """
     if geom not in _GROWN:
         _GROWN[geom] = _weights_by_content(geom), {EMPTY: ONE}
@@ -201,14 +198,11 @@ def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPoly
         mu = chain[-1][1]
     for mu, lam, box in reversed(chain):
         grown[mu] = grown[lam] * (weight(box) * monomial(1, s=2 * box.row - 1, aL=-1))
-        new, old = hook_denominator(mu), hook_denominator(lam)
-        key = frozenset(new.items())
-        if key not in _HOOK_H:
-            up = {d: e - old.get(d, 0) for d, e in new.items() if e > old.get(d, 0)}
-            down = {d: e - new.get(d, 0) for d, e in old.items() if e > new.get(d, 0)}
-            h = product_s([_HOOK_H[frozenset(old.items())], cyclotomic_product(up)])
-            _HOOK_H[key] = exact_div_s(h, cyclotomic_product(down))
-    return grown[p], _HOOK_H[frozenset(hook_denominator(p).items())]
+    exponents = hook_denominator(p)
+    key = frozenset(exponents.items())
+    if key not in _HOOK_H:
+        _HOOK_H[key] = cyclotomic_product(exponents)
+    return grown[p], _HOOK_H[key]
 
 
 def closed_form(geom: Geometry | str, p: Partition) -> RationalFunction:

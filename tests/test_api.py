@@ -1,7 +1,9 @@
-"""Every public module-level function and class in the package is used by the
-package itself, and every public method and property of a package class by
-the package or the benchmark: a name that only the exports or the tests
-reach is unused API.  Every name a module imports is also read there."""
+"""Every module-level function and class in the package, public or private,
+is used by the package itself, and every public method and property of a
+package class by the package or the benchmark: a name that only the
+exports or the tests reach is unused API, and a private helper that only
+the tests reach was orphaned by a deletion.  Every name a module imports is
+also read there."""
 
 import ast
 from pathlib import Path
@@ -20,10 +22,10 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _public_definitions(tree: ast.Module):
+def _definitions(tree: ast.Module, private: bool):
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+            and node.name.startswith("_") == private]
 
 
 def _referenced_names(tree: ast.AST, skip: ast.AST | None = None,
@@ -44,17 +46,27 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None = None,
     return found
 
 
-def test_every_public_definition_is_used_inside_the_package():
+def _unused_definitions(private: bool) -> list[str]:
+    """Module-level definitions that no other module and no other part of
+    their own module reads."""
     trees = {path.name: _parse(path) for path in MODULES}
     unused = []
     for name, tree in trees.items():
         others = set().union(*(_referenced_names(t) for n, t in trees.items()
                                if n != name))
-        for node in _public_definitions(tree):
+        for node in _definitions(tree, private):
             if (node.name not in others
                     and node.name not in _referenced_names(tree, skip=node)):
                 unused.append(f"{name}:{node.name}")
-    assert unused == []
+    return unused
+
+
+def test_every_public_definition_is_used_inside_the_package():
+    assert _unused_definitions(private=False) == []
+
+
+def test_every_private_definition_is_used_inside_the_package():
+    assert _unused_definitions(private=True) == []
 
 
 def test_every_public_method_is_used_outside_its_definition():

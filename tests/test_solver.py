@@ -37,7 +37,7 @@ from skeinsolve import (
     verify_annihilation,
 )
 from skeinsolve.partitions import BOX, EMPTY, cells
-from skeinsolve.ring import ONE, Exponent, SignedMonomial
+from skeinsolve.ring import Exponent, SignedMonomial
 from skeinsolve.skein import P01_OP, P10_OP, P11_OP, UNKNOT_OP
 from skeinsolve.verify import run_suite
 
@@ -95,10 +95,10 @@ def test_hook_content_vector_edge_operators():
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """closed_form with no product memoised yet: no numerator, and no hook
-    denominator but the empty partition's."""
+    """closed_form with no product memoised yet: no numerator and no hook
+    denominator."""
     monkeypatch.setattr(solver_mod, "_GROWN", {})
-    monkeypatch.setattr(solver_mod, "_HOOK_H", {frozenset(): ONE})
+    monkeypatch.setattr(solver_mod, "_HOOK_H", {})
 
 
 _ONE_TAG = Geometry("one-tag", A, S * G)
