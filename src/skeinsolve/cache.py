@@ -6,7 +6,9 @@ followed by those exact bytes, so a hit is byte-identical to a fresh
 computation; the CLI's --no-cache flag provides the cross-check path.  The
 package version in the key keeps a newer solver from serving an older one's
 bytes.  Together they vouch for a hit, so a text read wraps its records as
-written instead of reducing them again.  The directory comes from
+written instead of reducing them again; it still checks their shape, and the
+CLI treats records that do not read back as a miss.  A records read serves
+the stored bytes unparsed.  The directory comes from
 SKEINSOLVE_CACHE_DIR, falling back to the user cache root.
 """
 

@@ -170,23 +170,29 @@ def _cmd_psi(args) -> int:
     if args.max_degree < 0:
         print("--max-degree must be nonnegative", file=sys.stderr)
         return 2
-    if args.no_cache:
-        text = _psi_records_text(args.geometry, args.max_degree)
-    else:
+    text = psi = None
+    if not args.no_cache:
         cache = ResultCache()
         text = cache.load(args.geometry, args.max_degree)
-        if text is None:
-            text = _psi_records_text(args.geometry, args.max_degree)
+        if text is not None and args.format == "text":
+            try:
+                psi = skein_vector_from_records(loads_records(text))
+            except ValueError:  # a hit whose records do not read back is a miss
+                text = None
+    if text is None:
+        text = _psi_records_text(args.geometry, args.max_degree)
+        if not args.no_cache:
             try:
                 cache.store(args.geometry, args.max_degree, text)
             except OSError as exc:
                 print(f"warning: result not cached: {exc}", file=sys.stderr)
     if args.format == "records":
         sys.stdout.write(text)
-    else:
+        return 0
+    if psi is None:
         psi = skein_vector_from_records(loads_records(text))
-        for p, coeff in psi.items():
-            print(f"{_display(p)}: {coeff}")
+    for p, coeff in psi.items():
+        print(f"{_display(p)}: {coeff}")
     return 0
 
 

@@ -16,12 +16,14 @@ check of that vector.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache, wraps
 from operator import index
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .ring import (
+    Exponent,
     LaurentPolynomial,
     RationalFunction,
     cyclotomic_product,
@@ -178,10 +180,7 @@ def partitions_through(n: int) -> list[Partition]:
 @_cache_of(Partition)
 def content_polynomial(p: Partition) -> LaurentPolynomial:
     """Sum of q^{content} over the cells; evaluates to |p| at q = 1."""
-    out = LaurentPolynomial()
-    for c in cells(p):
-        out = out + monomial(1, s=2 * c.content)
-    return out
+    return LaurentPolynomial(Counter(Exponent(s=2 * c.content) for c in cells(p)))
 
 
 def hook_polynomial(p: Partition) -> LaurentPolynomial:

@@ -11,9 +11,10 @@ into a denominator is an error, not a silent extension of the ring.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd as _int_gcd
-from operator import index
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from operator import add as _add, index
+from typing import Iterable, Mapping, NamedTuple, Union
 
 
 class DenominatorNotSUnivariateError(ValueError):
@@ -67,6 +68,7 @@ def _power_str(base: str, e: int) -> str:
     return f"{base}^{text}" if len(text) == 1 else f"{base}^{{{text}}}"
 
 
+@cache
 def _q_power_str(s_exp: int) -> str:
     # s^2 = q; odd s-powers render as half-integer q-powers.
     if s_exp % 2 == 0:
@@ -74,15 +76,20 @@ def _q_power_str(s_exp: int) -> str:
     return "q^{%d/2}" % s_exp
 
 
-def _term_str(exp: Exponent, coeff: int) -> str:
-    s, a, aL, g = exp
-    factors = [_power_str(name, e) for name, e in (("γ", g), ("a", a), ("aL", aL))
-               if e != 0]
-    if s != 0:
-        factors.append(_q_power_str(s))
-    if not factors:
+@cache
+def _head_str(a: int, aL: int, g: int) -> str:
+    # the factors before the q-power, in the order γ, a, aL
+    return " ".join([_power_str(name, e) for name, e in (("γ", g), ("a", a), ("aL", aL)) if e])
+
+
+def _term_str(s: int, a: int, aL: int, g: int, coeff: int) -> str:
+    head = _head_str(a, aL, g)
+    if s:
+        body = f"{head} {_q_power_str(s)}" if head else _q_power_str(s)
+    elif head:
+        body = head
+    else:
         return str(coeff)
-    body = " ".join(factors)
     if coeff == 1:
         return body
     if coeff == -1:
@@ -91,55 +98,85 @@ def _term_str(exp: Exponent, coeff: int) -> str:
 
 
 PolyLike = Union["LaurentPolynomial", int]
+_Slice = tuple[int, list[int]]
+
+_S_KEY = (0, 0, 0)  # the (a, aL, g) exponent of the slice of a polynomial in s alone
 
 
 class LaurentPolynomial:
     """Laurent polynomial in s, a, aL, g with integer coefficients.
 
-    Stored as a canonical term map Exponent -> coefficient with no zero
-    coefficients, which the constructor drops; two polynomials are equal iff
-    their term maps are equal.  Arithmetic accepts polynomials and ints.
-    Instances are immutable: all operations return new polynomials.
+    Stored as s-slices: a map from each (a, aL, g) exponent that occurs to
+    (lo, coeffs), the slice s^lo * sum coeffs[i] s^i, with coeffs a dense
+    list whose first and last entries are nonzero.  No empty slice is
+    stored, so two polynomials are equal iff their maps are equal.  The
+    constructor takes a term map Exponent -> coefficient and drops zero
+    coefficients.  Arithmetic accepts polynomials and ints.  Instances are
+    immutable: all operations return new polynomials, which may share
+    coefficient lists, so no list is changed once stored.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_slices",)
 
     def __init__(self, terms: Mapping[Exponent, int] | None = None):
-        self._terms = {e: c for e, c in terms.items() if c} if terms else {}
+        pieces: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (s, a, aL, g), c in terms.items() if terms else ():
+            if c:
+                piece = pieces.get((a, aL, g))
+                if piece is None:
+                    pieces[(a, aL, g)] = {s: c}
+                else:
+                    piece[s] = c
+        slices = {}
+        for key, piece in pieces.items():
+            lo = min(piece)
+            coeffs = [0] * (max(piece) - lo + 1)
+            for s, c in piece.items():
+                coeffs[s - lo] = c
+            slices[key] = (lo, coeffs)
+        self._slices: dict[tuple[int, int, int], _Slice] = slices
 
     # -- basic views ---------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         """Terms sorted ascending by (s, a, aL, g) exponent order."""
-        return sorted(self._terms.items())
+        make = tuple.__new__
+        return [(make(Exponent, (s, a, aL, g)), c) for s, a, aL, g, c in _sorted_rows(self)]
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._slices
 
     @property
     def is_one(self) -> bool:
-        return self._terms == {ZERO_EXP: 1}
+        return self._slices == ONE._slices
 
     def __len__(self) -> int:
-        return len(self._terms)
+        """The number of nonzero terms."""
+        return sum([len(coeffs) - coeffs.count(0) for _, coeffs in self._slices.values()])
 
     def as_signed_monomial(self) -> SignedMonomial | None:
         """The term as a SignedMonomial, if the polynomial is one; else None."""
-        if len(self._terms) != 1:
+        if len(self._slices) != 1:
             return None
-        (exp, coeff), = self._terms.items()
-        if coeff not in (1, -1):
+        ((a, aL, g), (lo, coeffs)), = self._slices.items()
+        if len(coeffs) != 1 or coeffs[0] not in (1, -1):
             return None
-        return SignedMonomial(coeff, exp)
+        return SignedMonomial(coeffs[0], Exponent(lo, a, aL, g))
 
     def content(self) -> int:
         """Nonnegative gcd of all integer coefficients (0 for the zero polynomial)."""
-        return _list_content(self._terms.values())
+        c = 0
+        for _, coeffs in self._slices.values():
+            c = _int_gcd(c, *coeffs)
+            if c == 1:
+                break
+        return c
 
     def s_range(self) -> tuple[int, int]:
-        exps = [e.s for e in self._terms]
-        return (min(exps), max(exps))
+        los = [lo for lo, _ in self._slices.values()]
+        his = [lo + len(coeffs) - 1 for lo, coeffs in self._slices.values()]
+        return (min(los), max(his))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -148,30 +185,23 @@ class LaurentPolynomial:
         if isinstance(x, LaurentPolynomial):
             return x
         if isinstance(x, int):
-            return LaurentPolynomial({ZERO_EXP: x})
+            return _new_poly({_S_KEY: (0, [x])} if x else {})
         return NotImplemented
 
     def __add__(self, other: PolyLike) -> "LaurentPolynomial":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            new = out.get(e, 0) + c
-            if new:
-                out[e] = new
-            elif e in out:
-                del out[e]
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = out
-        return result
+        out = dict(self._slices)
+        for key, (lo, coeffs) in other._slices.items():
+            _add_slice(out, key, lo, coeffs)
+        return _new_poly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = {e: -c for e, c in self._terms.items()}
-        return result
+        return _new_poly({key: (lo, [-c for c in coeffs])
+                          for key, (lo, coeffs) in self._slices.items()})
 
     def __sub__(self, other: PolyLike) -> "LaurentPolynomial":
         other = self._coerce(other)
@@ -187,34 +217,25 @@ class LaurentPolynomial:
         if other is NotImplemented:
             return NotImplemented
         short_poly, long_poly = self, other
-        if len(self._terms) > len(other._terms):
+        if len(self._slices) > len(other._slices):
             short_poly, long_poly = other, self
-        shorter, longer = short_poly._terms, long_poly._terms
-        make = tuple.__new__
+        shorter, longer = short_poly._slices, long_poly._slices
         if len(shorter) < 2:
             if not shorter:
                 return ZERO
-            # one term: shifting exponents is injective and no coefficient
-            # product vanishes, so each term maps to one term
-            ((s1, a1, aL1, g1), c1), = shorter.items()
-            if c1 == 1 and not (s1 or a1 or aL1 or g1):
+            if shorter == ONE._slices:
                 return long_poly  # values are immutable
-            terms = {make(Exponent, (s1 + s2, a1 + a2, aL1 + aL2, g1 + g2)): c1 * c2
-                     for (s2, a2, aL2, g2), c2 in longer.items()}
-        else:
-            # sum on plain exponent tuples; each surviving key becomes an
-            # Exponent once, not once per term product
-            acc: dict[tuple[int, int, int, int], int] = {}
-            get = acc.get
-            rows = [(s, a, aL, g, c) for (s, a, aL, g), c in longer.items()]
-            for (s1, a1, aL1, g1), c1 in shorter.items():
-                for s2, a2, aL2, g2, c2 in rows:
-                    key = (s1 + s2, a1 + a2, aL1 + aL2, g1 + g2)
-                    acc[key] = get(key, 0) + c1 * c2
-            terms = {make(Exponent, key): c for key, c in acc.items() if c}
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = terms
-        return result
+            # one slice: shifting keys is injective, so each pair of slices
+            # is one slice of the product; one term shifts lo, and a
+            # coefficient 1 shares the other's lists
+            ((a1, aL1, g1), (lo1, f)), = shorter.items()
+            return _new_poly({(a1 + a2, aL1 + aL2, g1 + g2): (lo1 + lo2, _list_mul(f, h))
+                              for (a2, aL2, g2), (lo2, h) in longer.items()})
+        acc: dict[tuple[int, int, int], _Slice] = {}
+        for (a1, aL1, g1), (lo1, f) in shorter.items():
+            for (a2, aL2, g2), (lo2, h) in longer.items():
+                _add_slice(acc, (a1 + a2, aL1 + aL2, g1 + g2), lo1 + lo2, _list_mul(f, h))
+        return _new_poly(acc)
 
     __rmul__ = __mul__
 
@@ -237,16 +258,20 @@ class LaurentPolynomial:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = LaurentPolynomial({ZERO_EXP: other})
+            other = self._coerce(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._slices == other._slices
 
     def __hash__(self) -> int:
         # a constant hashes like the int it equals
-        if self._terms.keys() <= {ZERO_EXP}:
-            return hash(self._terms.get(ZERO_EXP, 0))
-        return hash(frozenset(self._terms.items()))
+        slices = self._slices
+        if not slices:
+            return hash(0)
+        constant = slices.get(_S_KEY)
+        if len(slices) == 1 and constant is not None and constant[0] == 0 and len(constant[1]) == 1:
+            return hash(constant[1][0])
+        return hash(frozenset([(key, lo, tuple(coeffs)) for key, (lo, coeffs) in slices.items()]))
 
     # -- substitution ----------------------------------------------------
 
@@ -282,30 +307,76 @@ class LaurentPolynomial:
         os_, oa, ol, og = odd
         acc: dict[tuple[int, int, int, int], int] = {}
         get = acc.get
-        for (s, a, aL, g), c in self._terms.items():
-            key = (s * ss + a * as_ + aL * ls + g * gs, s * sa + a * aa + aL * la + g * ga,
-                   s * sl + a * al + aL * ll + g * gl, s * sg + a * ag + aL * lg + g * gg)
-            if (s * os_ + a * oa + aL * ol + g * og) & 1:
-                c = -c
-            acc[key] = get(key, 0) + c
-        make = tuple.__new__
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = {make(Exponent, key): c for key, c in acc.items() if c}
-        return result
+        for (a, aL, g), (lo, coeffs) in self._slices.items():
+            for s, c in enumerate(coeffs, lo):
+                if not c:
+                    continue
+                key = (s * ss + a * as_ + aL * ls + g * gs, s * sa + a * aa + aL * la + g * ga,
+                       s * sl + a * al + aL * ll + g * gl, s * sg + a * ag + aL * lg + g * gg)
+                if (s * os_ + a * oa + aL * ol + g * og) & 1:
+                    c = -c
+                acc[key] = get(key, 0) + c
+        return LaurentPolynomial(acc)
 
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        rows = _sorted_rows(self)
+        if not rows:
             return "0"
-        (exp, coeff), *rest = self.sorted_terms()
-        pieces = [_term_str(exp, coeff)]
-        for exp, coeff in rest:
-            pieces.append(("- " if coeff < 0 else "+ ") + _term_str(exp, abs(coeff)))
+        pieces = [_term_str(*rows[0])]
+        for s, a, aL, g, c in rows[1:]:
+            pieces.append("- " + _term_str(s, a, aL, g, -c) if c < 0
+                          else "+ " + _term_str(s, a, aL, g, c))
         return " ".join(pieces)
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({str(self)!r})"
+
+
+def _new_poly(slices: dict[tuple[int, int, int], _Slice]) -> LaurentPolynomial:
+    """Wrap a slice map already in canonical form."""
+    out = LaurentPolynomial.__new__(LaurentPolynomial)
+    out._slices = slices
+    return out
+
+
+def _sorted_rows(f: LaurentPolynomial) -> list[tuple[int, int, int, int, int]]:
+    """The nonzero terms of f as (s, a, aL, g, coeff), ascending."""
+    rows = [(s, a, aL, g, c) for (a, aL, g), (lo, coeffs) in f._slices.items()
+            for s, c in enumerate(coeffs, lo) if c]
+    rows.sort()
+    return rows
+
+
+def _add_slice(slices: dict[tuple[int, int, int], _Slice], key: tuple[int, int, int],
+               lo: int, coeffs: list[int]) -> None:
+    """Add s^lo * coeffs to the slice of key in a slice map being built: a
+    new list at an offset, trimmed, and no entry if the sum is zero."""
+    mine = slices.get(key)
+    if mine is None:
+        slices[key] = (lo, coeffs)
+        return
+    lo2, g = mine
+    if lo > lo2:
+        lo, coeffs, lo2, g = lo2, g, lo, coeffs
+    k = lo2 - lo
+    end = k + len(g)
+    out = coeffs + [0] * (end - len(coeffs))
+    out[k:end] = map(_add, out[k:end], g)
+    if out[0] and out[-1]:
+        slices[key] = (lo, out)
+        return
+    n = len(out)
+    while n and not out[n - 1]:
+        n -= 1
+    if not n:
+        del slices[key]
+        return
+    start = 0
+    while not out[start]:
+        start += 1
+    slices[key] = (lo + start, out[start:n])
 
 
 ZERO = LaurentPolynomial()
@@ -320,7 +391,8 @@ G = LaurentPolynomial({Exponent(g=1): 1})
 def monomial(coeff: int, s: int = 0, a: int = 0, aL: int = 0, g: int = 0) -> LaurentPolynomial:
     """coeff s^s a^a aL^aL g^g; each argument is read through operator.index,
     so a float or a string raises TypeError."""
-    return LaurentPolynomial({Exponent(index(s), index(a), index(aL), index(g)): index(coeff)})
+    coeff, s, key = index(coeff), index(s), (index(a), index(aL), index(g))
+    return _new_poly({key: (s, [coeff])} if coeff else {})
 
 
 def q_int(n: int) -> LaurentPolynomial:
@@ -335,72 +407,19 @@ def q_int(n: int) -> LaurentPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _as_int_poly(f: LaurentPolynomial) -> tuple[int, list[int]]:
-    """Shift an s-univariate Laurent polynomial into Z[s].
-
-    Returns (shift, coeffs) with coeffs ascending, coeffs[0] != 0, such that
-    f = s^shift * sum coeffs[i] s^i.  f must be nonzero and involve only s.
-    """
-    terms = f._terms
-    if not terms:
+def _as_int_poly(f: LaurentPolynomial) -> _Slice:
+    """The one slice (lo, coeffs) of a nonzero polynomial in s alone:
+    f = s^lo * sum coeffs[i] s^i with coeffs[0] and coeffs[-1] nonzero.
+    ValueError if f is zero or involves a, aL or g."""
+    if not f._slices:
         raise ValueError("zero polynomial")
-    # exponents order by s first, so the least and greatest keys bound s
-    lo = min(terms)[0]
-    coeffs = [0] * (max(terms)[0] - lo + 1)
-    for (s, a, aL, g), c in terms.items():
-        if a or aL or g:
-            raise ValueError("polynomial involves a, aL or g")
-        coeffs[s - lo] = c
-    return lo, coeffs
-
-
-def _from_slices(slices: list[tuple[tuple[int, int, int], int, list[int]]]) -> LaurentPolynomial:
-    """The polynomial whose (a, aL, g)-slice is s^lo * sum coeffs[i] s^i."""
-    make = tuple.__new__
-    out: dict[Exponent, int] = {}
-    for (a, aL, g), lo, coeffs in slices:
-        for i, c in enumerate(coeffs):
-            if c:
-                out[make(Exponent, (lo + i, a, aL, g))] = c
-    result = LaurentPolynomial.__new__(LaurentPolynomial)
-    result._terms = out
-    return result
-
-
-def _from_int_poly(coeffs: list[int]) -> LaurentPolynomial:
-    return _from_slices([((0, 0, 0), 0, coeffs)])
-
-
-def _slices(f: LaurentPolynomial) -> Iterator[tuple[tuple[int, int, int], int, list[int]]]:
-    """Group the terms of f by their (a, aL, g) exponents and yield each
-    s-slice as (key, lo, coeffs), the slice being s^lo * sum coeffs[i] s^i.
-    A slice is made dense only when the caller's loop reaches it."""
-    pieces: dict[tuple[int, int, int], dict[int, int]] = {}
-    for (s, a, aL, g), c in f._terms.items():
-        piece = pieces.get((a, aL, g))
-        if piece is None:
-            pieces[(a, aL, g)] = {s: c}
-        else:
-            piece[s] = c
-    for key, piece in pieces.items():
-        lo = min(piece)
-        coeffs = [0] * (max(piece) - lo + 1)
-        for k, c in piece.items():
-            coeffs[k - lo] = c
-        yield key, lo, coeffs
-
-
-def _list_content(f: Iterable[int]) -> int:
-    c = 0
-    for v in f:
-        c = _int_gcd(c, v)
-        if c == 1:
-            return 1
-    return c
+    if len(f._slices) != 1 or _S_KEY not in f._slices:
+        raise ValueError("polynomial involves a, aL or g")
+    return f._slices[_S_KEY]
 
 
 def _list_primitive(f: list[int]) -> list[int]:
-    c = _list_content(f)
+    c = _int_gcd(*f)
     if c in (0, 1):
         return list(f)
     return [v // c for v in f]
@@ -487,9 +506,13 @@ def _list_exact_div(f: list[int], d: list[int]) -> list[int]:
 
 
 def _list_mul(f: list[int], g: list[int]) -> list[int]:
-    """Product in Z[s] of two ascending coefficient lists."""
+    """Product in Z[s] of two ascending coefficient lists.  A product by
+    [1] is the other list itself, so the result is never to be changed."""
     if len(f) > len(g):
         f, g = g, f
+    if len(f) == 1:
+        c = f[0]
+        return g if c == 1 else [c * d for d in g]
     out = [0] * (len(f) + len(g) - 1) if f else []
     nonzero = [(j, d) for j, d in enumerate(g) if d]  # a polynomial in q = s^2 has zero odd slots
     for i, c in enumerate(f):
@@ -506,7 +529,7 @@ def product_s(factors: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
     for f in factors:
         shift, coeffs = (0, []) if f.is_zero else _as_int_poly(f)
         lo, acc = lo + shift, _list_mul(acc, coeffs)
-    return _from_slices([((0, 0, 0), lo, acc)])
+    return _new_poly({_S_KEY: (lo, acc)} if acc else {})
 
 
 def _mobius(n: int) -> int:
@@ -559,10 +582,9 @@ def cyclotomic_product(exponents: Mapping[int, int]) -> LaurentPolynomial:
             if _times_binomial(quotient, n) != f:
                 raise ArithmeticError("inexact polynomial division")
             f = quotient
-    make = tuple.__new__
-    result = LaurentPolynomial.__new__(LaurentPolynomial)
-    result._terms = {make(Exponent, (2 * i, 0, 0, 0)): c for i, c in enumerate(f) if c}
-    return result
+    coeffs = [0] * (2 * len(f) - 1)  # in s = q^{1/2}
+    coeffs[::2] = f
+    return _new_poly({_S_KEY: (0, coeffs)})
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +608,7 @@ class RationalFunction:
     Arithmetic keeps this form: sums work over the lcm of the denominators,
     and products cancel each numerator against the other operand's
     denominator before multiplying.
-    Equality compares the term maps of numerator and denominator.  That is
+    Equality compares the slice maps of numerator and denominator.  That is
     sound because the reduced form is unique: two reduced fractions of the
     same value have denominators that divide each other in Q[s], so they
     differ by a rational constant, which the content reduction and the
@@ -645,8 +667,9 @@ class RationalFunction:
         _, dc = _as_int_poly(d)
         g = _list_gcd(bc, dc)
         b_g, d_g = _list_exact_div(bc, g), _list_exact_div(dc, g)
-        return RationalFunction(self._num * _from_int_poly(d_g) + other._num * _from_int_poly(b_g),
-                                _from_int_poly(_list_mul(bc, d_g)))
+        return RationalFunction(self._num * _new_poly({_S_KEY: (0, d_g)})
+                                + other._num * _new_poly({_S_KEY: (0, b_g)}),
+                                _new_poly({_S_KEY: (0, _list_mul(bc, d_g))}))
 
     __radd__ = __add__
 
@@ -747,17 +770,13 @@ def _extract_denominator_unit(num: LaurentPolynomial,
     a positive leading coefficient.  Raises DenominatorNotSUnivariateError if
     the denominator's terms do not share a single (a, aL, g) exponent.
     """
-    non_s = {(e.a, e.aL, e.g) for e in den._terms}
-    if len(non_s) != 1:
+    if len(den._slices) != 1:
         raise DenominatorNotSUnivariateError(
             "denominator is not s-univariate up to a unit monomial")
-    (ea, eaL, eg), = non_s
-    lo = min(e.s for e in den._terms)
-    unit_inv = LaurentPolynomial({Exponent(-lo, -ea, -eaL, -eg): 1})
-    if (ea, eaL, eg) != (0, 0, 0) or lo != 0:
-        den = den * unit_inv
-        num = num * unit_inv
-    _, coeffs = _as_int_poly(den)
+    ((ea, eaL, eg), (lo, coeffs)), = den._slices.items()
+    if (ea, eaL, eg) != _S_KEY or lo != 0:
+        num = num * _new_poly({(-ea, -eaL, -eg): (-lo, [1])})
+        den = _new_poly({_S_KEY: (0, coeffs)})
     if coeffs[-1] < 0:
         num = -num
         den = -den
@@ -771,25 +790,22 @@ def _cancel_common(num: LaurentPolynomial,
 
     The slices are taken first: they are short and their gcd is usually a
     constant after two or three of them, which spares a gcd with a long
-    denominator.  Each slice is made dense only when the loop reaches it,
-    and a common factor divides those same lists.
+    denominator.  A common factor divides those same stored lists.
     """
     _, den_coeffs = _as_int_poly(den)
     if len(den_coeffs) == 1:
         return num, den
-    slices = []
     common: list[int] | None = None
-    for key, lo, coeffs in _slices(num):
-        slices.append((key, lo, coeffs))
+    for _, coeffs in num._slices.values():
         common = coeffs if common is None else _list_gcd(common, coeffs)
         if len(common) == 1:
             return num, den
     common = _list_gcd(den_coeffs, common)
     if len(common) == 1:
         return num, den
-    return (_from_slices([(key, lo, _list_exact_div(coeffs, common))
-                          for key, lo, coeffs in slices]),
-            _from_int_poly(_list_exact_div(den_coeffs, common)))
+    return (_new_poly({key: (lo, _list_exact_div(coeffs, common))
+                       for key, (lo, coeffs) in num._slices.items()}),
+            _new_poly({_S_KEY: (0, _list_exact_div(den_coeffs, common))}))
 
 
 def _remove_content(num: LaurentPolynomial,
@@ -797,8 +813,8 @@ def _remove_content(num: LaurentPolynomial,
     """Divide num and den by the gcd of their integer contents."""
     c = _int_gcd(num.content(), den.content())
     if c > 1:
-        num = LaurentPolynomial({e: v // c for e, v in num._terms.items()})
-        den = LaurentPolynomial({e: v // c for e, v in den._terms.items()})
+        num, den = (_new_poly({key: (lo, [v // c for v in coeffs])
+                               for key, (lo, coeffs) in f._slices.items()}) for f in (num, den))
     return num, den
 
 
@@ -816,8 +832,8 @@ def monomial_ratio(x: RationalLike, y: RationalLike) -> SignedMonomial | None:
     r = y.numerator * x.denominator
     if len(p) != len(r):
         return None
-    (pe, pc) = max(p._terms.items())
-    (re, rc) = max(r._terms.items())
+    (pe, pc) = p.sorted_terms()[-1]
+    (re, rc) = r.sorted_terms()[-1]
     if abs(pc) != abs(rc):
         return None
     m = SignedMonomial(1 if pc == rc else -1, _exp_add(pe, _exp_neg(re)))

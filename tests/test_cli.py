@@ -186,6 +186,46 @@ def test_damaged_cache_entry_is_a_miss_and_rewritten(capsys, isolated_cache, fmt
     assert entry.read_bytes() == stored
 
 
+# edits of the partition-1 line of `psi --geometry c3 --max-degree 2`, each
+# stored under a valid sha256 line
+_UNREADABLE_RECORDS = {
+    "float exponent": ('"g":1,"s":1}', '"g":1,"s":1.5}'),
+    "bool exponent": ('"g":1,"s":1}', '"g":true,"s":1}'),
+    "zero denominator": ('"den":[{"a":0,"aL":0,"c":"-1","g":0,"s":0},'
+                         '{"a":0,"aL":0,"c":"1","g":0,"s":2}]', '"den":[]'),
+    "a in a denominator": ('"den":[{"a":0,', '"den":[{"a":1,'),
+    "denominator leading coefficient negative": ('"c":"-1","g":0,"s":0},{"a":0,"aL":0,"c":"1"',
+                                                 '"c":"1","g":0,"s":0},{"a":0,"aL":0,"c":"-1"'),
+    "denominator without a constant term": ('"c":"-1","g":0,"s":0}', '"c":"-1","g":0,"s":1}'),
+    "coefficient not a number": ('"c":"1","g":1', '"c":"x","g":1'),
+    "coefficient with a leading zero": ('"c":"1","g":1', '"c":"01","g":1'),
+    "coefficient an int": ('"c":"1","g":1', '"c":1,"g":1'),
+    "missing numerator": (',"num":[{"a":0,"aL":0,"c":"1","g":1,"s":1}]', ''),
+    "missing exponent": ('"g":1,"s":1}', '"g":1}'),
+    "term not a record": ('"num":[{"a":0,"aL":0,"c":"1","g":1,"s":1}]', '"num":[1]'),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_UNREADABLE_RECORDS))
+def test_entry_with_unreadable_records_is_a_miss_and_rewritten(capsys, isolated_cache, edit):
+    old, new = _UNREADABLE_RECORDS[edit]
+    args = ("psi", "--geometry", "c3", "--max-degree", "2")
+    code, fresh, _ = run_cli(capsys, *args, "--no-cache")
+    run_cli(capsys, *args)
+    [entry] = isolated_cache.glob("psi-c3-N2-schema*.jsonl")
+    stored = entry.read_bytes()
+    lines = stored.decode("utf-8").split("\n")[1:]
+    assert lines[2].endswith('"partition":"1"}') and lines[2].count(old) == 1
+    lines[2] = lines[2].replace(old, new)
+    body = "\n".join(lines).encode("utf-8")
+    entry.write_bytes(b"sha256 " + hashlib.sha256(body).hexdigest().encode("ascii")
+                      + b"\n" + body)
+    # records mode serves the stored bytes without parsing them
+    assert run_cli(capsys, *args, "--format", "records") == (0, body.decode("utf-8"), "")
+    assert run_cli(capsys, *args) == (0, fresh, "")
+    assert entry.read_bytes() == stored
+
+
 def test_entry_from_another_version_is_a_miss(capsys, isolated_cache, monkeypatch):
     import skeinsolve.cache as cache_mod
 
@@ -591,6 +631,30 @@ def test_psi_text_golden_bytes(capsys, geom):
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_PSI_TEXT_SHA256[geom]
+
+
+# sha256 of `psi --geometry G --max-degree 12 --no-cache --format F`, as
+# produced when polynomials were still stored as term dicts; the widest
+# s-slices of any pinned output are here, and the stored form must keep
+# these bytes.
+GOLDEN_PSI_N12_SHA256 = {
+    ("c3", "records"): "1ada107cd28ba6bc891be3930d090fd50ec5c0d3cf58f67682a46e2329d824f3",
+    ("c3", "text"): "f7ccb30d9a6a48c25150cff8a7624116055bb72447d74538e26c9241374f109c",
+    ("unknot", "records"): "93566acb21ebc488496feb7afad1eec8cf9e3fedb62446342e594b99120331a4",
+    ("unknot", "text"): "9d1870a75a758ee96573665589df9cdc15753b155c71edb292846105af629fd5",
+    ("unknot-prime", "records"):
+        "692affd7cdec5c51decd4681904b9d8493c9b32e8aeebe9149d191b26db07a3e",
+    ("unknot-prime", "text"): "62eaaf3a2504be152a986f5bc774c6e9b46beffc1ebb5f05bb9829ac98f01e59",
+}
+
+
+@pytest.mark.parametrize("geom,fmt", sorted(GOLDEN_PSI_N12_SHA256))
+def test_psi_golden_bytes_at_degree_12(capsys, geom, fmt):
+    code, out, err = run_cli(capsys, "psi", "--geometry", geom, "--max-degree", "12",
+                             "--no-cache", "--format", fmt)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_PSI_N12_SHA256[geom, fmt]
 
 
 # sha256 of the stdout of `closed-form --geometry G` and of `invariant`, run

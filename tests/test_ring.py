@@ -111,6 +111,14 @@ def test_mul_cross_terms_cancel():
     assert ((S + A) * (S - A)).sorted_terms() == [(Exponent(a=2), -1), (Exponent(s=2), 1)]
 
 
+def _assert_canonical(f):
+    # Exponent keys and no zero coefficient, and the stored form is the one
+    # the constructor builds from those terms: no empty or untrimmed slice
+    terms = f.sorted_terms()
+    assert all(type(e) is Exponent and c for e, c in terms)
+    assert LaurentPolynomial(dict(terms)) == f
+
+
 def _dict_product(f, g):
     out = {}
     for e1, c1 in f.sorted_terms():
@@ -134,8 +142,8 @@ one_term_operands = st.one_of(
 def test_mul_by_a_one_term_operand_matches_a_dict_product(m, f, m_first):
     got = m * f if m_first else f * m
     poly = m if isinstance(m, LaurentPolynomial) else monomial(m)
-    assert {tuple(e): c for e, c in got._terms.items()} == _dict_product(poly, f)
-    assert all(type(e) is Exponent and c for e, c in got._terms.items())
+    assert {tuple(e): c for e, c in got.sorted_terms()} == _dict_product(poly, f)
+    _assert_canonical(got)
 
 
 def test_mul_by_one_returns_the_other_operand():
@@ -206,6 +214,77 @@ def test_rendering():
     assert str(G * A ** -1 * monomial(2)) == "2γ a^{-1}"
     assert str(monomial(-2, a=-1, g=1) + Q) == "-2γ a^{-1} + q"
     assert str(monomial(-2) - 3 * S) == "-2 - 3q^{1/2}"
+
+
+def _reference_str(f):
+    # the term loop of LaurentPolynomial.__str__ as it was written for the
+    # term-dict form, one term at a time with no cached pieces
+    def power(base, e):
+        if e == 1:
+            return base
+        text = str(e)
+        return f"{base}^{text}" if len(text) == 1 else f"{base}^{{{text}}}"
+
+    def term(exp, coeff):
+        s, a, aL, g = exp
+        factors = [power(name, e) for name, e in (("γ", g), ("a", a), ("aL", aL)) if e != 0]
+        if s != 0:
+            factors.append(power("q", s // 2) if s % 2 == 0 else "q^{%d/2}" % s)
+        if not factors:
+            return str(coeff)
+        body = " ".join(factors)
+        if coeff == 1:
+            return body
+        if coeff == -1:
+            return "-" + body
+        return str(coeff) + body
+
+    terms = f.sorted_terms()
+    if not terms:
+        return "0"
+    (exp, coeff), *rest = terms
+    pieces = [term(exp, coeff)]
+    for exp, coeff in rest:
+        pieces.append(("- " if coeff < 0 else "+ ") + term(exp, abs(coeff)))
+    return " ".join(pieces)
+
+
+_WIDE_EXPONENTS = st.builds(Exponent, *[st.integers(min_value=-30, max_value=30)] * 4)
+_WIDE_COEFFICIENTS = st.one_of(
+    st.sampled_from((1, -1, 0, 2 ** 64 + 1, -(2 ** 64) - 3, 3 ** 90)),
+    st.integers(min_value=-20, max_value=20))
+wide_polynomials = st.builds(
+    LaurentPolynomial,
+    st.dictionaries(st.one_of(_WIDE_EXPONENTS, exponents(span=12)), _WIDE_COEFFICIENTS,
+                    max_size=8))
+
+
+@given(wide_polynomials)
+def test_rendering_matches_the_term_by_term_reference(f):
+    assert str(f) == _reference_str(f)
+
+
+@given(wide_polynomials, wide_polynomials, wide_polynomials)
+def test_equal_values_built_in_different_orders_are_equal_and_hash_equal(f, g, h):
+    pairs = [
+        ((f + g) + h, f + (g + h)),
+        ((f * g) * h, f * (h * g)),
+        (f * (g + h), h * f + g * f),
+        ((f - g) * (f + g), f * f - g * g),
+        (sum((monomial(c, *e) for e, c in reversed(f.sorted_terms())), ZERO), f),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        _assert_canonical(x)
+
+
+@given(wide_polynomials)
+def test_stored_form_is_rebuilt_from_the_sorted_terms(f):
+    assert LaurentPolynomial(dict(f.sorted_terms())) == f
+    assert (f - f).sorted_terms() == [] and len(f - f) == 0 and (f - f).is_zero
+    assert len(f) == len(f.sorted_terms())
+    if not f.is_zero:
+        assert f.s_range() == (f.sorted_terms()[0][0].s, f.sorted_terms()[-1][0].s)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +832,7 @@ def test_substitute_matches_a_per_term_reference(f, images):
         expected = expected + term
     got = f.substitute(images)
     assert got == expected
-    assert all(type(e) is Exponent and c for e, c in got._terms.items())
+    _assert_canonical(got)
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +905,7 @@ def test_cyclotomic_product_matches_the_divisor_recursion(exponents):
             expected = expected * _phi_by_division(d)
     got = cyclotomic_product(exponents)
     assert got == expected
-    assert all(type(e) is Exponent and c for e, c in got._terms.items())
+    _assert_canonical(got)
 
 
 @pytest.mark.parametrize("mobius, exponents", (
@@ -878,7 +957,7 @@ def test_product_s_is_the_fold_of_mul(factors):
         expected = expected * f
     got = product_s(factors)
     assert got == expected
-    assert all(type(e) is Exponent and c for e, c in got._terms.items())
+    _assert_canonical(got)
 
 
 def test_product_s_examples():

@@ -109,6 +109,78 @@ def test_big_coefficients_survive():
         assert poly_from_records(_terms_read_back(p)) == p
 
 
+_TERM = {"s": 1, "a": 0, "aL": 0, "g": 0, "c": "-1"}
+
+
+@pytest.mark.parametrize("records", (
+    {"s": 1},  # not a list
+    [[1, 2]],  # a term that is not a record
+    [{k: v for k, v in _TERM.items() if k != "aL"}],
+    [dict(_TERM, s=1.5)],
+    [dict(_TERM, a=True)],  # a bool is not an exponent
+    [dict(_TERM, g="1")],
+    [dict(_TERM, c="x")],
+    [dict(_TERM, c=-1)],  # an int, not the decimal string dump_line writes
+    [dict(_TERM, c="+1")],
+    [dict(_TERM, c="01")],
+    [dict(_TERM, c="-0")],
+    [dict(_TERM, c=" 1")],
+    [dict(_TERM, c="1_0")],
+    [dict(_TERM, c="\u0661")],  # ARABIC-INDIC DIGIT ONE
+    [dict(_TERM, c="\u00b2")],  # SUPERSCRIPT TWO
+    [dict(_TERM, c="--1")],
+    [dict(_TERM, c="1.0")],
+))
+def test_poly_from_records_rejects_a_malformed_record(records):
+    with pytest.raises(ValueError):
+        poly_from_records(records)
+
+
+_S = [{"s": 1, "a": 0, "aL": 0, "g": 0, "c": "1"}]
+_DEN = [{"s": 0, "a": 0, "aL": 0, "g": 0, "c": "-1"}, {"s": 2, "a": 0, "aL": 0, "g": 0, "c": "1"}]
+
+
+@pytest.mark.parametrize("record", (
+    {"den": _DEN},
+    {"num": _S},
+    [_S, _DEN],
+    {"num": _S, "den": []},  # zero
+    {"num": _S, "den": [dict(_DEN[0], a=1), _DEN[1]]},  # not in s alone
+    {"num": _S, "den": [dict(_DEN[0], c="1"), dict(_DEN[1], c="-1")]},  # negative lead
+    {"num": _S, "den": [dict(_DEN[0], s=1), _DEN[1]]},  # no constant term
+    {"num": _S, "den": [dict(_DEN[0], c="x"), _DEN[1]]},
+))
+def test_rf_from_record_rejects_a_malformed_record(record):
+    with pytest.raises(ValueError):
+        rf_from_record(record)
+
+
+def test_rf_from_record_reads_a_normalized_denominator():
+    assert rf_from_record({"num": _S, "den": _DEN}) == RationalFunction(LaurentPolynomial(
+        {Exponent(s=1): 1}), LaurentPolynomial({Exponent(): -1, Exponent(s=2): 1}))
+
+
+@pytest.mark.parametrize("damage", (
+    lambda rows: rows[:0],
+    lambda rows: [[]] + rows[1:],
+    lambda rows: [{k: v for k, v in rows[0].items() if k != "max_degree"}] + rows[1:],
+    lambda rows: [dict(rows[0], max_degree="2")] + rows[1:],
+    lambda rows: [dict(rows[0], max_degree=1)] + rows[1:],  # "2" exceeds it
+    lambda rows: rows[:1] + [{"coefficient": rows[1]["coefficient"]}] + rows[2:],
+    lambda rows: rows[:1] + [{"partition": ""}] + rows[2:],
+    lambda rows: rows[:1] + [dict(rows[1], partition=0)] + rows[2:],
+    lambda rows: rows[:1] + [dict(rows[1], partition="x")] + rows[2:],
+    lambda rows: rows + rows[-1:],  # a repeated partition
+    lambda rows: rows[:1] + [dict(rows[1], coefficient={"num": _S, "den": []})] + rows[2:],
+))
+def test_skein_vector_from_records_rejects_malformed_records(damage):
+    rows = loads_records(dumps_records(skein_vector_records(
+        solve_recursion("c3", 2), geometry="c3", operator="test")))
+    skein_vector_from_records(rows)  # undamaged, they read back
+    with pytest.raises(ValueError):
+        skein_vector_from_records(damage(rows))
+
+
 def test_skein_vector_round_trip():
     psi = solve_recursion("unknot", 4)
     records = skein_vector_records(psi, geometry="unknot", operator="test")
