@@ -13,7 +13,9 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from .cache import ResultCache
+# serialize (with json) and cache (with hashlib) are imported inside the
+# commands that write records or read the cache, so that `verify` and the
+# other text commands do not load them.
 from .partitions import (
     Partition,
     _decimal,
@@ -21,14 +23,7 @@ from .partitions import (
     enumerate_partitions,
     hook_polynomial,
 )
-from .serialize import (
-    SCHEMA_VERSION,
-    dumps_records,
-    loads_records,
-    rf_record,
-    skein_vector_from_records,
-    skein_vector_records,
-)
+from .skein import SkeinVector
 from .solver import (
     NoSolutionError,
     PRESETS,
@@ -127,6 +122,7 @@ def _emit(fmt: str, header: dict, rows: Iterable[dict], lines: Iterable[str]) ->
     """Write the header, stamped with the schema, and the rows as records, or
     print the text lines; only the one the format asks for is consumed."""
     if fmt == "records":
+        from .serialize import SCHEMA_VERSION, dumps_records
         sys.stdout.write(dumps_records([{**header, "schema": SCHEMA_VERSION}, *rows]))
     else:
         for line in lines:
@@ -159,11 +155,10 @@ def _cmd_hook_poly(args) -> int:
     return 0
 
 
-def _psi_records_text(geom_name: str, max_degree: int) -> str:
-    geom = geometry(geom_name)
-    psi = hook_content_vector(geom, max_degree)
+def _psi_records_text(geom_name: str, psi: SkeinVector) -> str:
+    from .serialize import dumps_records, skein_vector_records
     return dumps_records(skein_vector_records(
-        psi, geometry=geom_name, operator=str(geom.operator)))
+        psi, geometry=geom_name, operator=str(geometry(geom_name).operator)))
 
 
 def _cmd_psi(args) -> int:
@@ -172,6 +167,8 @@ def _cmd_psi(args) -> int:
         return 2
     text = psi = None
     if not args.no_cache:
+        from .cache import ResultCache
+        from .serialize import loads_records, skein_vector_from_records
         cache = ResultCache()
         text = cache.load(args.geometry, args.max_degree)
         if text is not None and args.format == "text":
@@ -180,7 +177,9 @@ def _cmd_psi(args) -> int:
             except ValueError:  # a hit whose records do not read back is a miss
                 text = None
     if text is None:
-        text = _psi_records_text(args.geometry, args.max_degree)
+        psi = hook_content_vector(geometry(args.geometry), args.max_degree)
+        if args.format == "records" or not args.no_cache:
+            text = _psi_records_text(args.geometry, psi)
         if not args.no_cache:
             try:
                 cache.store(args.geometry, args.max_degree, text)
@@ -189,14 +188,13 @@ def _cmd_psi(args) -> int:
     if args.format == "records":
         sys.stdout.write(text)
         return 0
-    if psi is None:
-        psi = skein_vector_from_records(loads_records(text))
     for p, coeff in psi.items():
         print(f"{_display(p)}: {coeff}")
     return 0
 
 
 def _cmd_closed_form(args) -> int:
+    from .serialize import rf_record
     value = closed_form(args.geometry, args.partition)
     _emit(args.format, {"kind": "closed-form", "geometry": args.geometry,
                         "partition": str(args.partition)},
@@ -205,6 +203,7 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
+    from .serialize import rf_record
     value = colored_unknot_invariant(args.partition)
     _emit(args.format, {"kind": "unknot-invariant", "partition": str(args.partition)},
           [rf_record(value)], [f"{_display(args.partition)}: {value}"])

@@ -251,10 +251,10 @@ def hook_denominator(p: Partition) -> Mapping[int, int]:
     and h_p = q^{-sum of legs} H_p / (q - 1)^{|p|}.  The mapping is read-only.
     """
     out: dict[int, int] = {}
-    for c in cells(p):
-        for d in range(1, c.hook + 1):
-            if c.hook % d == 0:
-                out[d] = out.get(d, 0) + 1
+    for h, k in Counter([c.hook for c in cells(p)]).items():
+        for d in range(1, h + 1):
+            if h % d == 0:
+                out[d] = out.get(d, 0) + k
     return MappingProxyType(out)
 
 

@@ -11,9 +11,10 @@ into a denominator is an error, not a silent extension of the ring.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, wraps
+from itertools import accumulate
 from math import gcd as _int_gcd
-from operator import add as _add, index
+from operator import add as _add, index, sub as _sub
 from typing import Iterable, Mapping, NamedTuple, Union
 
 
@@ -110,7 +111,9 @@ class LaurentPolynomial:
     (lo, coeffs), the slice s^lo * sum coeffs[i] s^i, with coeffs a dense
     list whose first and last entries are nonzero.  No empty slice is
     stored, so two polynomials are equal iff their maps are equal.  The
-    constructor takes a term map Exponent -> coefficient and drops zero
+    constructor takes a term map Exponent -> coefficient, reads every
+    coefficient and exponent through operator.index, as monomial() does, so
+    a float, a string or None raises TypeError, and drops zero
     coefficients.  Arithmetic accepts polynomials and ints.  Instances are
     immutable: all operations return new polynomials, which may share
     coefficient lists, so no list is changed once stored.
@@ -121,10 +124,11 @@ class LaurentPolynomial:
     def __init__(self, terms: Mapping[Exponent, int] | None = None):
         pieces: dict[tuple[int, int, int], dict[int, int]] = {}
         for (s, a, aL, g), c in terms.items() if terms else ():
+            c, s, key = index(c), index(s), (index(a), index(aL), index(g))
             if c:
-                piece = pieces.get((a, aL, g))
+                piece = pieces.get(key)
                 if piece is None:
-                    pieces[(a, aL, g)] = {s: c}
+                    pieces[key] = {s: c}
                 else:
                     piece[s] = c
         slices = {}
@@ -395,8 +399,25 @@ def monomial(coeff: int, s: int = 0, a: int = 0, aL: int = 0, g: int = 0) -> Lau
     return _new_poly({key: (s, [coeff])} if coeff else {})
 
 
+def _cache_by_index(f):
+    """functools.cache on a function of one int, read through
+    operator.index first: 2.0 equals and hashes like 2, so without it
+    whether a float call answered or raised would depend on which call
+    came first."""
+    cached = cache(f)
+
+    @wraps(f)
+    def entry(n):
+        return cached(index(n))
+
+    entry.cache_clear = cached.cache_clear
+    return entry
+
+
+@_cache_by_index
 def q_int(n: int) -> LaurentPolynomial:
-    """The quantum integer [n]_q = 1 + q + ... + q^{n-1}."""
+    """The quantum integer [n]_q = 1 + q + ... + q^{n-1}; TypeError for a
+    float or a string."""
     if n < 0:
         raise ValueError("q_int requires n >= 0")
     return LaurentPolynomial({Exponent(s=2 * k): 1 for k in range(n)})
@@ -545,43 +566,67 @@ def _mobius(n: int) -> int:
     return -out if n > 1 else out
 
 
+@_cache_by_index
+def _phi_binomials(d: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (n, mu(d/n)) over the divisors n of d with mu(d/n) != 0,
+    so that Phi_d(q) is the product of (q^n - 1)^mu(d/n)."""
+    return tuple((n, m) for n in range(1, d + 1) if d % n == 0 and (m := _mobius(d // n)))
+
+
 def _times_binomial(f: list[int], n: int) -> list[int]:
     """(q^n - 1) f on ascending coefficient lists."""
-    return [x - y for x, y in zip([0] * n + f, f + [0] * n)]
+    out = [0] * n + f
+    out[:len(f)] = map(_sub, out[:len(f)], f)
+    return out
+
+
+def _over_binomial(f: list[int], n: int) -> list[int]:
+    """The exact quotient f / (q^n - 1) on ascending coefficient lists;
+    ArithmeticError if it is not exact.
+
+    f = (q^n - 1) g with g of length m = len(f) - n reads f[i] = g[i - n] - g[i]
+    (g zero outside 0..m-1).  The m equations with i < m give g[i] = g[i - n] - f[i],
+    so along each residue r mod n g is the negated running sum of f[r:m:n];
+    the n equations with i >= m, f[i] = g[i - n], are what is left to check.
+    """
+    m = len(f) - n
+    if m <= 0:  # a nonzero f of degree below n
+        raise ArithmeticError("inexact polynomial division")
+    g = [-c for c in f[:m]]
+    for r in range(min(n, m)):
+        g[r::n] = accumulate(g[r::n])
+    if f[m:] != [0] * (n - m) + g[max(m - n, 0):]:
+        raise ArithmeticError("inexact polynomial division")
+    return g
 
 
 def cyclotomic_product(exponents: Mapping[int, int]) -> LaurentPolynomial:
     """The product of Phi_d(q)^e over an exponent vector {d: e}; ValueError
-    for a d below 1 or a negative e.
+    for a d below 1 or a negative e, TypeError for one that is not an int.
 
     q^n - 1 is the product of Phi_d over the divisors d of n, so by Moebius
     inversion Phi_d is the product of (q^n - 1)^mu(d/n) over the divisors n
-    of d, and the whole product is that of (q^n - 1)^b_n with
-    b_n = sum over the multiples d of n of e_d mu(d/n).  It is formed on
-    ascending coefficient lists in q: a product by each q^n - 1 with b_n > 0,
-    then an exact division by each with b_n < 0, O(length) per step; an
-    inexact division raises ArithmeticError.
+    of d (the table _phi_binomials), and the whole product is that of
+    (q^n - 1)^b_n with b_n = sum over the multiples d of n of e_d mu(d/n).
+    It is formed on ascending coefficient lists in q: a product by each
+    q^n - 1 with b_n > 0, then an exact division by each with b_n < 0,
+    O(length) per step; an inexact division raises ArithmeticError.
     """
     if any(d < 1 or e < 0 for d, e in exponents.items()):
         raise ValueError(f"cyclotomic exponents need d >= 1 and e >= 0, got {dict(exponents)}")
     binomials: dict[int, int] = {}
     for d, e in exponents.items():
+        e = index(e)
         if e:
-            for n in range(1, d + 1):
-                if d % n == 0:
-                    binomials[n] = binomials.get(n, 0) + e * _mobius(d // n)
+            for n, mu in _phi_binomials(d):
+                binomials[n] = binomials.get(n, 0) + e * mu
     f = [1]
     for n, b in binomials.items():
         for _ in range(b):
             f = _times_binomial(f, n)
     for n, b in binomials.items():
         for _ in range(-b):
-            quotient = []
-            for i in range(len(f) - n):  # f = (q^n - 1) quotient, from the bottom
-                quotient.append((quotient[i - n] if i >= n else 0) - f[i])
-            if _times_binomial(quotient, n) != f:
-                raise ArithmeticError("inexact polynomial division")
-            f = quotient
+            f = _over_binomial(f, n)
     coeffs = [0] * (2 * len(f) - 1)  # in s = q^{1/2}
     coeffs[::2] = f
     return _new_poly({_S_KEY: (0, coeffs)})

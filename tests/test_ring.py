@@ -195,6 +195,22 @@ def test_monomial_rejects_a_value_that_is_no_integer(args, kwargs):
         monomial(*args, **kwargs)
 
 
+@pytest.mark.parametrize("terms", (
+    {Exponent(s=1): 1.5}, {Exponent(): Fraction(2)}, {Exponent(s=1): "1"},
+    {Exponent(s=1): None}, {Exponent(s=0.5): 1}, {Exponent(a=1.0): 1},
+    {Exponent(aL=Fraction(1), s=1): 2}, {Exponent(g=2.0): 0}))
+def test_constructor_rejects_a_value_that_is_no_integer(terms):
+    # unchecked, a float coefficient would print as 1.5 and a float
+    # exponent would key a slice on a = 1.0
+    with pytest.raises(TypeError):
+        LaurentPolynomial(terms)
+
+
+def test_constructor_reads_a_bool_as_the_int_it_is():
+    assert str(LaurentPolynomial({Exponent(): True})) == "1"
+    assert LaurentPolynomial({Exponent(s=True): 2}) == 2 * S
+
+
 def test_monomial_examples():
     assert monomial(-3, s=1, g=-2) == -3 * S * G ** -2
     assert monomial(0, a=4).is_zero
@@ -846,6 +862,24 @@ def test_q_int_matches_bracket_ratio():
         assert S ** n - S ** -n == Z * q_int(n) * monomial(1, s=-(n - 1))
 
 
+@pytest.mark.parametrize("int_first", (False, True))
+def test_memos_raise_for_a_float_whether_or_not_its_int_came_first(int_first):
+    # 2.0 equals and hashes like 2, so a memo keyed on the argument as
+    # given would answer for 2.0 once 2 had been asked for
+    q_int.cache_clear()
+    ring_mod._phi_binomials.cache_clear()
+    if int_first:
+        assert q_int(2) == 1 + Q
+        assert cyclotomic_product({2: 1}) == Q + 1
+    with pytest.raises(TypeError):
+        q_int(2.0)
+    with pytest.raises(TypeError):
+        cyclotomic_product({2.0: 1})
+    with pytest.raises(TypeError):
+        cyclotomic_product({2: 1.0})
+    assert q_int(True) == ONE and cyclotomic_product({True: 1}) == Q - 1
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -914,10 +948,63 @@ def test_cyclotomic_product_matches_the_divisor_recursion(exponents):
 ))
 def test_cyclotomic_product_raises_on_an_inexact_division(monkeypatch, mobius, exponents):
     # a wrong inversion leaves a binomial that does not divide: it raises
-    # rather than return a wrong polynomial
-    monkeypatch.setattr(ring_mod, "_mobius", mobius)
+    # rather than return a wrong polynomial.  The pairs (n, mu(d/n)) come
+    # from a memoised table, so the wrong Moebius function goes in there.
+    def table(d):
+        return tuple((n, mobius(d // n)) for n in range(1, d + 1) if d % n == 0)
+
+    monkeypatch.setattr(ring_mod, "_phi_binomials", table)
     with pytest.raises(ArithmeticError, match="^inexact polynomial division$"):
         cyclotomic_product(exponents)
+
+
+def _times_binomial_reference(f, n):
+    return [x - y for x, y in zip([0] * n + f, f + [0] * n)]
+
+
+def _over_binomial_reference(f, n):
+    # the division cyclotomic_product made before the strided running sums:
+    # the quotient from the bottom, then checked by multiplying it back
+    quotient = []
+    for i in range(len(f) - n):
+        quotient.append((quotient[i - n] if i >= n else 0) - f[i])
+    if _times_binomial_reference(quotient, n) != f:
+        raise ArithmeticError("inexact polynomial division")
+    return quotient
+
+
+@pytest.mark.parametrize("m, n", ((1, 1), (2, 5), (1, 3), (3, 3), (4, 4), (7, 2), (9, 4)))
+def test_division_by_a_binomial_matches_the_multiply_back_reference(m, n):
+    # quotient length m below, at and above n; every single-coefficient
+    # change of f, the top n equations included, is an inexact division
+    g = [(-1) ** i * (i + 2) for i in range(m)]
+    f = _times_binomial_reference(g, n)
+    assert ring_mod._times_binomial(g, n) == f
+    assert ring_mod._over_binomial(f, n) == _over_binomial_reference(f, n) == g
+    for i in range(len(f)):
+        bad = list(f)
+        bad[i] += 1
+        for divide in (ring_mod._over_binomial, _over_binomial_reference):
+            with pytest.raises(ArithmeticError, match="^inexact polynomial division$"):
+                divide(bad, n)
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=12)
+       .filter(lambda f: f[-1]), st.integers(min_value=1, max_value=6))
+def test_division_by_a_binomial_agrees_with_the_reference_on_any_list(f, n):
+    try:
+        expected = _over_binomial_reference(f, n)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError, match="^inexact polynomial division$"):
+            ring_mod._over_binomial(f, n)
+    else:
+        assert ring_mod._over_binomial(f, n) == expected
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=8)
+       .filter(lambda g: g[-1]), st.integers(min_value=1, max_value=6))
+def test_division_by_a_binomial_inverts_the_product(g, n):
+    assert ring_mod._over_binomial(ring_mod._times_binomial(g, n), n) == g
 
 
 def test_cyclotomic_product_of_powers():
