@@ -118,9 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(fmt: str, header: dict, rows: Iterable[dict], lines: Iterable[str]) -> None:
-    """Write the header, stamped with the schema, and the rows as records, or
-    print the text lines; only the one the format asks for is consumed."""
+def _emit(fmt: str, header: dict, rows: Iterable, lines: Iterable[str]) -> None:
+    """Write the header, stamped with the schema, and the rows as records
+    (dicts or rational functions, as dump_line writes them), or print the
+    text lines; only the one the format asks for is consumed."""
     if fmt == "records":
         from .serialize import SCHEMA_VERSION, dumps_records
         sys.stdout.write(dumps_records([{**header, "schema": SCHEMA_VERSION}, *rows]))
@@ -194,19 +195,17 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
-    from .serialize import rf_record
     value = closed_form(args.geometry, args.partition)
     _emit(args.format, {"kind": "closed-form", "geometry": args.geometry,
                         "partition": str(args.partition)},
-          [rf_record(value)], [f"{_display(args.partition)}: {value}"])
+          [value], [f"{_display(args.partition)}: {value}"])
     return 0
 
 
 def _cmd_invariant(args) -> int:
-    from .serialize import rf_record
     value = colored_unknot_invariant(args.partition)
     _emit(args.format, {"kind": "unknot-invariant", "partition": str(args.partition)},
-          [rf_record(value)], [f"{_display(args.partition)}: {value}"])
+          [value], [f"{_display(args.partition)}: {value}"])
     return 0
 
 

@@ -17,10 +17,10 @@ check of that vector.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, wraps
+from functools import lru_cache
 from operator import index
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .ring import (
     Exponent,
@@ -103,29 +103,6 @@ def partition_sort_key(p: Partition) -> tuple[int, tuple[int, ...]]:
     return (p.size, tuple(-x for x in p))
 
 
-def _cache_of(kind: type) -> Callable[[Callable], Callable]:
-    """functools.cache behind an isinstance check that raises TypeError.
-
-    A plain tuple equals and hashes like its Partition, and 2.0 like 2, so
-    without the check they would share a cache entry, and whether a call
-    answered or raised would depend on which call came first.
-    """
-    def decorate(f: Callable) -> Callable:
-        cached = cache(f)
-
-        @wraps(f)
-        def entry(key):
-            if not isinstance(key, kind):
-                raise TypeError(f"{f.__name__} takes a {kind.__name__}, "
-                                f"got {type(key).__name__}")
-            return cached(key)
-
-        entry.cache_clear = cached.cache_clear
-        return entry
-
-    return decorate
-
-
 class Cell(NamedTuple):
     """One box of a Young diagram: its row, column, arm and leg."""
 
@@ -143,9 +120,11 @@ class Cell(NamedTuple):
         return self.arm + self.leg + 1
 
 
-@_cache_of(Partition)
+@lru_cache(maxsize=None, typed=True)
 def cells(p: Partition) -> tuple[Cell, ...]:
     """All cells of the diagram in row-major order."""
+    if not isinstance(p, Partition):
+        raise TypeError(f"cells takes a Partition, got {type(p).__name__}")
     conj = p.conjugate()
     return tuple(
         Cell(row, col, part - col, conj[col - 1] - row)
@@ -154,10 +133,10 @@ def cells(p: Partition) -> tuple[Cell, ...]:
     )
 
 
-@_cache_of(int)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
-    if n < 0:
+    if index(n) < 0:
         raise ValueError("n must be nonnegative")
     return tuple(Partition(parts) for parts in _descending(n, n))
 
@@ -177,7 +156,6 @@ def partitions_through(n: int) -> list[Partition]:
     return [p for k in range(n + 1) for p in enumerate_partitions(k)]
 
 
-@_cache_of(Partition)
 def content_polynomial(p: Partition) -> LaurentPolynomial:
     """Sum of q^{content} over the cells; evaluates to |p| at q = 1."""
     return LaurentPolynomial(Counter(Exponent(s=2 * c.content) for c in cells(p)))
@@ -202,10 +180,12 @@ def hook_polynomial_qpower_form(p: Partition) -> LaurentPolynomial:
     return product_s([monomial(1, s=shift), *(q_int(c.hook) for c in cells(p))])
 
 
-@_cache_of(Partition)
+@lru_cache(maxsize=None, typed=True)
 def addable_cells(p: Partition) -> tuple[tuple[Partition, Cell], ...]:
     """All ways of adding one box: (enlarged partition, the added cell), a
     corner of the enlarged diagram, so its arm and leg are 0."""
+    if not isinstance(p, Partition):
+        raise TypeError(f"addable_cells takes a Partition, got {type(p).__name__}")
     out = []
     for row, cur in enumerate((*p, 0), start=1):
         if row > 1 and p[row - 2] == cur:
@@ -219,10 +199,12 @@ def addable_cells(p: Partition) -> tuple[tuple[Partition, Cell], ...]:
     return tuple(out)
 
 
-@_cache_of(Partition)
+@lru_cache(maxsize=None, typed=True)
 def removable_cells(p: Partition) -> tuple[tuple[Partition, Cell], ...]:
     """All ways of removing one corner box: (shrunk partition, the removed
     cell), a corner of p, so its arm and leg are 0."""
+    if not isinstance(p, Partition):
+        raise TypeError(f"removable_cells takes a Partition, got {type(p).__name__}")
     if not p:
         raise EmptyPartitionError("the empty partition has no removable box")
     out = []
@@ -242,7 +224,7 @@ def parity_sum(p: Partition) -> int:
     return sum(c.content + c.hook + 1 for c in cells(p))
 
 
-@_cache_of(Partition)
+@lru_cache(maxsize=None, typed=True)
 def hook_denominator(p: Partition) -> Mapping[int, int]:
     """The hook denominator H_p = prod over cells of (q^{hook} - 1) as
     cyclotomic exponents {d: e}, with H_p = prod over d of Phi_d(q)^e.

@@ -11,7 +11,7 @@ into a denominator is an error, not a silent extension of the ring.
 
 from __future__ import annotations
 
-from functools import cache, wraps
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import gcd as _int_gcd
 from operator import add as _add, index, sub as _sub
@@ -399,26 +399,11 @@ def monomial(coeff: int, s: int = 0, a: int = 0, aL: int = 0, g: int = 0) -> Lau
     return _new_poly({key: (s, [coeff])} if coeff else {})
 
 
-def _cache_by_index(f):
-    """functools.cache on a function of one int, read through
-    operator.index first: 2.0 equals and hashes like 2, so without it
-    whether a float call answered or raised would depend on which call
-    came first."""
-    cached = cache(f)
-
-    @wraps(f)
-    def entry(n):
-        return cached(index(n))
-
-    entry.cache_clear = cached.cache_clear
-    return entry
-
-
-@_cache_by_index
+@lru_cache(maxsize=None, typed=True)
 def q_int(n: int) -> LaurentPolynomial:
     """The quantum integer [n]_q = 1 + q + ... + q^{n-1}; TypeError for a
     float or a string."""
-    if n < 0:
+    if index(n) < 0:
         raise ValueError("q_int requires n >= 0")
     return LaurentPolynomial({Exponent(s=2 * k): 1 for k in range(n)})
 
@@ -444,13 +429,6 @@ def _list_primitive(f: list[int]) -> list[int]:
     if c in (0, 1):
         return list(f)
     return [v // c for v in f]
-
-
-def _list_trim(f: list[int]) -> list[int]:
-    n = len(f)
-    while n and f[n - 1] == 0:
-        n -= 1
-    return f[:n]
 
 
 def _list_prem(f: list[int], g: list[int]) -> list[int]:
@@ -486,9 +464,10 @@ def _list_prem(f: list[int], g: list[int]) -> list[int]:
 
 def _list_gcd(f: list[int], g: list[int]) -> list[int]:
     """Primitive gcd in Z[s] via the primitive pseudo-remainder sequence
-    (Brown, J. ACM 18, 1971)."""
-    f = _list_primitive(_list_trim(f))
-    g = _list_primitive(_list_trim(g))
+    (Brown, J. ACM 18, 1971).  f and g are ascending and end in a nonzero
+    coefficient: stored slices, or lists from _list_primitive or _list_prem."""
+    f = _list_primitive(f)
+    g = _list_primitive(g)
     if len(f) < len(g):
         f, g = g, f
     while g:
@@ -566,7 +545,7 @@ def _mobius(n: int) -> int:
     return -out if n > 1 else out
 
 
-@_cache_by_index
+@lru_cache(maxsize=None, typed=True)
 def _phi_binomials(d: int) -> tuple[tuple[int, int], ...]:
     """The pairs (n, mu(d/n)) over the divisors n of d with mu(d/n) != 0,
     so that Phi_d(q) is the product of (q^n - 1)^mu(d/n)."""

@@ -61,18 +61,14 @@ def poly_from_records(records: list[dict]) -> LaurentPolynomial:
     return LaurentPolynomial(terms)
 
 
-def rf_record(x: RationalFunction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
-
-
 def rf_from_record(record: dict) -> RationalFunction:
-    """The value rf_record wrote, wrapped as read, without a second reduction.
+    """The value dump_line wrote, wrapped as read, without a second reduction.
 
-    rf_record writes only reduced values, and a cache entry's sha256 line and
+    dump_line writes only reduced values, and a cache entry's sha256 line and
     the version in its key stand behind the bytes read back, so reducing
     them again would remove nothing.  Records from anywhere else are wrapped
     as they are, reduced or not.  The denominator must still be in the
-    normal form rf_record writes, a nonzero polynomial in s with a nonzero
+    normal form dump_line writes, a nonzero polynomial in s with a nonzero
     constant term and a positive leading coefficient: ValueError if not.
     """
     num = poly_from_records(_field(record, "num"))
@@ -95,7 +91,7 @@ def skein_vector_records(v: SkeinVector, *, geometry: str, operator: str) -> lis
         "operator": operator,
     }]
     for p, coeff in v.items():
-        rows.append({"partition": str(p), "coefficient": rf_record(coeff)})
+        rows.append({"partition": str(p), "coefficient": coeff})
     return rows
 
 
@@ -125,15 +121,18 @@ def skein_vector_from_records(records: list[dict]) -> SkeinVector:
 
 def dump_line(value) -> str:
     """Compact JSON of a dict with str keys, written in sorted key order, of
-    a list, a str (escaped to ASCII), an int, or a LaurentPolynomial as its
+    a list, a str (escaped to ASCII), an int, a LaurentPolynomial as its
     terms {"a", "aL", "c", "g", "s"} in sorted_terms order with c a decimal
-    string; anything else, a bool, float or None included, raises TypeError.
+    string, or a RationalFunction as {"den", "num"}; anything else, a bool,
+    float or None included, raises TypeError.
     """
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, LaurentPolynomial):
         return "[" + ",".join([f'{{"a":{a},"aL":{aL},"c":"{c}","g":{g},"s":{s}}}'
                                for s, a, aL, g, c in _sorted_rows(value)]) + "]"
+    if isinstance(value, RationalFunction):
+        return f'{{"den":{dump_line(value.denominator)},"num":{dump_line(value.numerator)}}}'
     if isinstance(value, dict):
         return "{" + ",".join([f"{_quote(k)}:{dump_line(value[k])}"
                                for k in sorted(value)]) + "}"

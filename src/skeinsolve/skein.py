@@ -32,13 +32,13 @@ is a composition with a scalar on the identity word.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from operator import index
 from typing import Iterable, Mapping
 
 from .partitions import (
     Cell,
     Partition,
-    _cache_of,
     addable_cells,
     content_polynomial,
     partition_sort_key,
@@ -153,7 +153,7 @@ class SkeinVector:
         return f"SkeinVector({body!r}, max_degree={self._max_degree})"
 
 
-@_cache_of(Partition)
+@lru_cache(maxsize=None, typed=True)
 def diagonal_part(p: Partition) -> LaurentPolynomial:
     """P10 - unknot on the basis vector of p: aL (q^{1/2} - q^{-1/2}) c_p(q)."""
     return AL * Z_BRACKET * content_polynomial(p)

@@ -18,6 +18,7 @@ partition through a degree.  The recursion is their check.
 
 from __future__ import annotations
 
+from functools import cache, lru_cache
 from itertools import product as _cartesian
 from typing import Callable, NamedTuple
 
@@ -164,9 +165,17 @@ def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
     return SkeinVector(coeffs, max_degree)
 
 
-_GROWN: dict = {}  # Geometry -> (its weight by content, {partition: top})
-_GROWN_GEOMETRIES = 3  # annihilation and recursion grow all three presets
-_HOOK_H: dict = {}  # frozenset(hook_denominator(p).items()) -> H_p
+@lru_cache(maxsize=3)  # annihilation and recursion grow all three presets
+def _growth(geom: Geometry) -> tuple[Callable[[Cell], LaurentPolynomial],
+                                     dict[Partition, LaurentPolynomial]]:
+    """The geometry's weight by content and its grown tops, {EMPTY: 1} at first."""
+    return _weights_by_content(geom), {EMPTY: ONE}
+
+
+@cache
+def _hook_product(multiset: frozenset) -> LaurentPolynomial:
+    """H_p from the multiset frozenset(hook_denominator(p).items())."""
+    return cyclotomic_product(dict(multiset))
 
 
 def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -179,30 +188,22 @@ def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPoly
         top_mu = top_lambda raising_weight(box) s^{2r - 1} aL^{-1}.
 
     The chain is walked down to the first partition already grown and back
-    up.  _GROWN is keyed by the Geometry value (x and y, not only tag), so a
-    mutation test must build a fresh Geometry; it holds the tops of the last
-    _GROWN_GEOMETRIES geometries first grown, and a new one evicts the
-    oldest.  H_p depends only on the multiset of p's hooks, which
-    E_p = hook_denominator(p) determines, so _HOOK_H keeps one H per
-    multiset, cyclotomic_product(E_p) on a miss, shared by all geometries
-    and by conjugates: one copy of each, where a copy per geometry kept three.
+    up.  _growth is keyed by the Geometry value (x and y, not only tag), so a
+    mutation test must build a fresh Geometry; it holds the tops of the
+    three geometries used last, and a fourth evicts the one used least
+    recently.  H_p depends only on the multiset of p's hooks, which
+    E_p = hook_denominator(p) determines, so _hook_product keeps one H per
+    multiset, shared by all geometries and by conjugates: one copy of each,
+    where a copy per geometry kept three.
     """
-    if geom not in _GROWN:
-        _GROWN[geom] = _weights_by_content(geom), {EMPTY: ONE}
-        if len(_GROWN) > _GROWN_GEOMETRIES:
-            del _GROWN[next(iter(_GROWN))]
-    weight, grown = _GROWN[geom]
+    weight, grown = _growth(geom)
     chain, mu = [], p
     while mu not in grown:
         chain.append((mu, *removable_cells(mu)[0]))
         mu = chain[-1][1]
     for mu, lam, box in reversed(chain):
         grown[mu] = grown[lam] * (weight(box) * monomial(1, s=2 * box.row - 1, aL=-1))
-    exponents = hook_denominator(p)
-    key = frozenset(exponents.items())
-    if key not in _HOOK_H:
-        _HOOK_H[key] = cyclotomic_product(exponents)
-    return grown[p], _HOOK_H[key]
+    return grown[p], _hook_product(frozenset(hook_denominator(p).items()))
 
 
 def closed_form(geom: Geometry | str, p: Partition) -> RationalFunction:
@@ -220,7 +221,8 @@ def closed_form(geom: Geometry | str, p: Partition) -> RationalFunction:
     is s^{-sum of hooks} times the hook denominator H_p.  _grown grows the
     pair box by box; it is reduced once, so a weight that shares a factor
     with H is still cancelled.  A p that is not a Partition raises
-    TypeError: a plain tuple would find its Partition's pair once grown.
+    TypeError: a plain tuple would find its Partition's top in _growth's
+    plain dict once grown.
     """
     if not isinstance(p, Partition):
         raise TypeError(f"closed_form takes a Partition, got {type(p).__name__}")

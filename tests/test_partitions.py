@@ -165,6 +165,14 @@ def test_enumerate_eight_count():
     assert len(enumerate_partitions(8)) == 22
 
 
+def test_enumerate_rejects_a_negative_int_and_any_float():
+    with pytest.raises(ValueError):
+        enumerate_partitions(-1)
+    for x in (2.0, -1.0):
+        with pytest.raises(TypeError):
+            enumerate_partitions(x)
+
+
 # ---------------------------------------------------------------------------
 # cells, contents, hooks
 # ---------------------------------------------------------------------------

@@ -871,8 +871,9 @@ def test_memos_raise_for_a_float_whether_or_not_its_int_came_first(int_first):
     if int_first:
         assert q_int(2) == 1 + Q
         assert cyclotomic_product({2: 1}) == Q + 1
-    with pytest.raises(TypeError):
-        q_int(2.0)
+    for x in (2.0, -1.0):
+        with pytest.raises(TypeError):
+            q_int(x)
     with pytest.raises(TypeError):
         cyclotomic_product({2.0: 1})
     with pytest.raises(TypeError):

@@ -20,7 +20,6 @@ from skeinsolve.serialize import (
     loads_records,
     poly_from_records,
     rf_from_record,
-    rf_record,
     skein_vector_from_records,
     skein_vector_records,
 )
@@ -42,10 +41,17 @@ def test_poly_round_trip(p):
 
 @given(rational_functions())
 def test_rf_round_trip(x):
-    [record] = loads_records(dumps_records([rf_record(x)]))
+    [record] = loads_records(dumps_records([x]))
     back = rf_from_record(record)
     assert back.numerator == x.numerator
     assert back.denominator == x.denominator
+
+
+@given(rational_functions())
+def test_rf_is_written_as_its_num_and_den_record(x):
+    # reference: a rational function's record is its numerator and
+    # denominator under "num" and "den"
+    assert dump_line(x) == dump_line({"num": x.numerator, "den": x.denominator})
 
 
 def test_records_are_sorted_and_deterministic():
@@ -84,7 +90,7 @@ def test_poly_from_records_rejects_a_repeated_exponent():
 
 @pytest.mark.parametrize("geometry", ("c3", "unknot", "unknot-prime"))
 def test_read_back_wraps_records_without_reducing(geometry, monkeypatch):
-    # rf_record writes reduced values, so reading them back needs no gcd
+    # dump_line writes reduced values, so reading them back needs no gcd
     psi = solve_recursion(geometry, 6)
     text = dumps_records(skein_vector_records(psi, geometry=geometry, operator="test"))
 

@@ -94,11 +94,11 @@ def test_hook_content_vector_edge_operators():
 
 
 @pytest.fixture
-def cold_memo(monkeypatch):
+def cold_memo():
     """closed_form with no product memoised yet: no numerator and no hook
     denominator."""
-    monkeypatch.setattr(solver_mod, "_GROWN", {})
-    monkeypatch.setattr(solver_mod, "_HOOK_H", {})
+    solver_mod._growth.cache_clear()
+    solver_mod._hook_product.cache_clear()
 
 
 _ONE_TAG = Geometry("one-tag", A, S * G)
@@ -130,11 +130,18 @@ def test_memo_holds_at_most_three_geometries(cold_memo):
                   for k in range(10)]
     for geom in geometries:
         assert hook_content_vector(geom, 6) == solve_recursion(geom, 6), geom.tag
-        assert len(solver_mod._GROWN) <= 3
-    assert list(solver_mod._GROWN) == geometries[-3:]
-    # an evicted geometry grows again from the empty partition
+        assert solver_mod._growth.cache_info().currsize <= 3
+    # the last three geometries are held: asking them again grows nothing
     p = Partition((3, 2, 1))
+    before = solver_mod._growth.cache_info()
+    for geom in geometries[-3:]:
+        assert closed_form(geom, p) == solve_recursion(geom, 6).coefficient(p), geom.tag
+    after = solver_mod._growth.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+    # an evicted geometry grows again from the empty partition
     assert closed_form(geometries[0], p) == solve_recursion(geometries[0], 6).coefficient(p)
+    assert solver_mod._growth.cache_info().misses == after.misses + 1
+    assert solver_mod._growth.cache_info().currsize == 3
 
 
 def test_conjugates_and_geometries_share_one_hook_denominator(cold_memo):
@@ -156,7 +163,7 @@ def test_hook_memo_holds_one_entry_per_hook_multiset(cold_memo, tags):
         assert len(multisets) == count
         for tag in tags:
             hook_content_vector(tag, degree)
-            assert len(solver_mod._HOOK_H) == count, (tag, degree)
+            assert solver_mod._hook_product.cache_info().currsize == count, (tag, degree)
 
 
 def test_hook_content_vector_rejects_a_negative_degree():
