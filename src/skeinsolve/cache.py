@@ -26,9 +26,8 @@ try:
 except ImportError:  # other interpreters, and CPython 3.12 on
     from hashlib import sha256
 
-from . import __version__
+from . import SCHEMA_VERSION, __version__
 from .partitions import partitions_through
-from .serialize import SCHEMA_VERSION
 
 ENV_VAR = "SKEINSOLVE_CACHE_DIR"
 

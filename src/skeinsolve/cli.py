@@ -13,9 +13,13 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-# serialize (with json) and cache (with hashlib) are imported inside the
-# commands that write records or read the cache, so that `verify` and the
-# other text commands do not load them.
+# Each command imports what it runs, so start-up loads only this module,
+# verify and partitions, which build the parser and import no algebra:
+# solver (with skein and ring) inside the commands that solve, serialize
+# (with json) inside those that write or read records, and cache (with
+# json and sha256) inside psi.  A warm `psi --format records` loads cache
+# on top of that and nothing else; a warm text hit adds serialize, skein
+# and ring, but not solver.
 from .partitions import (
     Partition,
     _decimal,
@@ -23,20 +27,13 @@ from .partitions import (
     enumerate_partitions,
     hook_polynomial,
 )
-from .skein import SkeinVector
-from .solver import (
-    NoSolutionError,
-    PRESETS,
-    TEMPLATES,
-    closed_form,
-    colored_unknot_invariant,
-    geometry,
-    hook_content_vector,
-    solve_monomial_coefficients,
-)
 from .verify import SUITES, run_suite
 
 EMPTY_DISPLAY = "∅"
+# the keys of solver.PRESETS and solver.TEMPLATES, in their order, so that
+# the parser is built without loading the solver
+PRESET_NAMES = ("c3", "unknot", "unknot-prime")
+TEMPLATE_NAMES = ("c3", "unknot")
 _MAX_BOXES = 100_000  # far past any partition a command finishes with
 
 
@@ -87,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="solve the annihilation recursion")
     p.add_argument("--geometry", required=True,
-                   choices=PRESETS)
+                   choices=PRESET_NAMES)
     p.add_argument("--max-degree", type=_int_arg, required=True)
     p.add_argument("--no-cache", action="store_true",
                    help="recompute even if a cached result exists")
@@ -96,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closed-form",
                        help="hook-content closed form of one coefficient")
     p.add_argument("--geometry", required=True,
-                   choices=PRESETS)
+                   choices=PRESET_NAMES)
     p.add_argument("--partition", type=_partition_arg, required=True)
     add_format(p)
 
@@ -112,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-coefficients",
                        help="solve for unknown signed-monomial operator coefficients")
-    p.add_argument("--geometry", required=True, choices=TEMPLATES)
+    p.add_argument("--geometry", required=True, choices=TEMPLATE_NAMES)
     add_format(p)
 
     return parser
@@ -156,12 +153,6 @@ def _cmd_hook_poly(args) -> int:
     return 0
 
 
-def _psi_records_text(geom_name: str, psi: SkeinVector) -> str:
-    from .serialize import dumps_records, skein_vector_records
-    return dumps_records(skein_vector_records(
-        psi, geometry=geom_name, operator=str(geometry(geom_name).operator)))
-
-
 def _cmd_psi(args) -> int:
     if args.max_degree < 0:
         print("--max-degree must be nonnegative", file=sys.stderr)
@@ -169,18 +160,22 @@ def _cmd_psi(args) -> int:
     text = psi = None
     if not args.no_cache:
         from .cache import ResultCache
-        from .serialize import loads_records, skein_vector_from_records
         cache = ResultCache()
         text = cache.load(args.geometry, args.max_degree)
         if text is not None and args.format == "text":
+            from .serialize import loads_records, skein_vector_from_records
             try:
                 psi = skein_vector_from_records(loads_records(text))
             except ValueError:  # a hit whose records do not read back is a miss
                 text = None
     if text is None:
-        psi = hook_content_vector(geometry(args.geometry), args.max_degree)
+        from .solver import geometry, hook_content_vector
+        geom = geometry(args.geometry)
+        psi = hook_content_vector(geom, args.max_degree)
         if args.format == "records" or not args.no_cache:
-            text = _psi_records_text(args.geometry, psi)
+            from .serialize import dumps_records, skein_vector_records
+            text = dumps_records(skein_vector_records(
+                psi, geometry=args.geometry, operator=str(geom.operator)))
         if not args.no_cache:
             try:
                 cache.store(args.geometry, args.max_degree, text)
@@ -195,6 +190,7 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
+    from .solver import closed_form
     value = closed_form(args.geometry, args.partition)
     _emit(args.format, {"kind": "closed-form", "geometry": args.geometry,
                         "partition": str(args.partition)},
@@ -203,6 +199,7 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
+    from .solver import colored_unknot_invariant
     value = colored_unknot_invariant(args.partition)
     _emit(args.format, {"kind": "unknot-invariant", "partition": str(args.partition)},
           [value], [f"{_display(args.partition)}: {value}"])
@@ -220,6 +217,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve_coefficients(args) -> int:
+    from .solver import TEMPLATES, NoSolutionError, solve_monomial_coefficients
     try:
         solutions = solve_monomial_coefficients(TEMPLATES[args.geometry])
     except NoSolutionError as exc:

@@ -20,17 +20,12 @@ from collections import Counter
 from functools import lru_cache
 from operator import index
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from .ring import (
-    Exponent,
-    LaurentPolynomial,
-    RationalFunction,
-    cyclotomic_product,
-    monomial,
-    product_s,
-    q_int,
-)
+# The polynomial functions import ring themselves, so that the commands
+# that only enumerate partitions or read the cache do not load it.
+if TYPE_CHECKING:
+    from .ring import LaurentPolynomial, RationalFunction
 
 
 class EmptyPartitionError(ValueError):
@@ -158,6 +153,7 @@ def partitions_through(n: int) -> list[Partition]:
 
 def content_polynomial(p: Partition) -> LaurentPolynomial:
     """Sum of q^{content} over the cells; evaluates to |p| at q = 1."""
+    from .ring import Exponent, LaurentPolynomial
     return LaurentPolynomial(Counter(Exponent(s=2 * c.content) for c in cells(p)))
 
 
@@ -168,6 +164,7 @@ def hook_polynomial(p: Partition) -> LaurentPolynomial:
     d > 1 of h, so h_p is q^{-sum of legs} times the hook denominator with
     its Phi_1 factors left out.
     """
+    from .ring import cyclotomic_product, monomial
     shift = -2 * sum(c.leg for c in cells(p))
     return monomial(1, s=shift) * cyclotomic_product(
         {d: e for d, e in hook_denominator(p).items() if d > 1})
@@ -176,6 +173,7 @@ def hook_polynomial(p: Partition) -> LaurentPolynomial:
 def hook_polynomial_qpower_form(p: Partition) -> LaurentPolynomial:
     """Alternate form q^{-sum (i-1) p_i} * prod [hook]_q, kept as an
     independent cross-check of hook_polynomial."""
+    from .ring import monomial, product_s, q_int
     shift = -2 * sum((i - 1) * part for i, part in enumerate(p, start=1))
     return product_s([monomial(1, s=shift), *(q_int(c.hook) for c in cells(p))])
 
@@ -243,6 +241,7 @@ def hook_denominator(p: Partition) -> Mapping[int, int]:
 def _branching_sides(mu: Partition) -> tuple[LaurentPolynomial, LaurentPolynomial, dict[int, int]]:
     """The two sides of the polynomial identity that verify_branching
     compares, and the lcm M of the hook denominators as cyclotomic exponents."""
+    from .ring import LaurentPolynomial, cyclotomic_product, monomial
     if not mu:
         raise EmptyPartitionError("branching rule needs at least one box")
     own = hook_denominator(mu)
@@ -295,6 +294,7 @@ def branching_difference(mu: Partition) -> RationalFunction:
     difference times q^{sigma_mu} Phi^M / (q - 1)^{|mu| - 1}, so dividing
     that factor back out gives it, in the unique reduced form.
     """
+    from .ring import RationalFunction, cyclotomic_product, monomial
     lhs, rhs, lcm = _branching_sides(mu)
     lcm[1] -= mu.size - 1
     legs = sum(c.leg for c in cells(mu))

@@ -14,11 +14,10 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
+from . import SCHEMA_VERSION
 from .partitions import Partition
 from .ring import LaurentPolynomial, RationalFunction, _as_int_poly, _new_rf, _sorted_rows
 from .skein import SkeinVector
-
-SCHEMA_VERSION = 1
 
 VARIABLE_CONVENTIONS = "s=q^{1/2}; coefficients in Z[s^+-, a^+-, aL^+-, g^+-]"
 

@@ -5,6 +5,10 @@ its checks, a generator over the degree bound that yields one item per
 identity, None when it holds and the counterexample text when it fails, so
 the text is built only on failure.  run_suite counts the items into a
 SuiteReport, which keeps the first counterexample.
+
+Each suite imports the ring, skein and solver names it uses inside its own
+body, so loading this module, as every CLI command does, loads partitions
+and nothing heavier.
 """
 
 from __future__ import annotations
@@ -20,22 +24,6 @@ from .partitions import (
     parity_sum,
     partitions_through,
     verify_branching,
-)
-from .ring import A, S, monomial
-from .skein import (
-    OperatorExpression,
-    P01_OP,
-    P10_OP,
-    P11_OP,
-    SkeinVector,
-    Z_BRACKET,
-)
-from .solver import (
-    PRESETS,
-    closed_form,
-    hook_content_vector,
-    solve_recursion,
-    verify_annihilation,
 )
 
 
@@ -86,6 +74,7 @@ def run_suite(name: str, max_degree: int | None = None) -> SuiteReport:
 
 
 def _recursion(n: int) -> Iterator[str | None]:
+    from .solver import PRESETS, hook_content_vector, solve_recursion
     for geom in PRESETS.values():
         psi, grown = solve_recursion(geom, n), hook_content_vector(geom, n)
         for p in partitions_through(n):
@@ -103,6 +92,7 @@ def _branching(n: int) -> Iterator[str | None]:
 
 
 def _commutator(n: int) -> Iterator[str | None]:
+    from .skein import OperatorExpression, P01_OP, P10_OP, P11_OP, SkeinVector, Z_BRACKET
     bracket = OperatorExpression.commutator(P10_OP, P01_OP)
     scaled = P11_OP.scale(Z_BRACKET)
     for p in partitions_through(n):
@@ -118,6 +108,9 @@ def _commutator(n: int) -> Iterator[str | None]:
 
 
 def _symmetry(n: int) -> Iterator[str | None]:
+    from .ring import A, S
+    from .solver import closed_form
+
     # the plain unknot under a -> a^{-1}, q^{1/2} -> -q^{1/2} is the primed one
     for p in partitions_through(n):
         swapped = closed_form("unknot", p).substitute({"a": A ** -1, "s": -S})
@@ -127,6 +120,7 @@ def _symmetry(n: int) -> Iterator[str | None]:
 
 
 def _annihilation(n: int) -> Iterator[str | None]:
+    from .solver import PRESETS, hook_content_vector, verify_annihilation
     for geom in PRESETS.values():
         psi = hook_content_vector(geom, n)
         if verify_annihilation(geom, psi):
@@ -144,6 +138,7 @@ def _parity(n: int) -> Iterator[str | None]:
 
 
 def _hookforms(n: int) -> Iterator[str | None]:
+    from .ring import S, monomial
     s_inverse = S ** -1
     for p in partitions_through(n):
         product_form = hook_polynomial(p)

@@ -357,17 +357,17 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_verify_recursion_failure_reports_both_values(capsys, monkeypatch):
-    import skeinsolve.verify as verify_mod
+    import skeinsolve.solver as solver_mod
     from skeinsolve import Partition, RationalFunction, SkeinVector
 
     wrong = Partition([2, 1])
-    hook_content_vector = verify_mod.hook_content_vector
+    hook_content_vector = solver_mod.hook_content_vector
 
     def perturbed(tag, n):
         value = hook_content_vector(tag, n)
         return value + SkeinVector({wrong: RationalFunction(1, 3)}, n)
 
-    monkeypatch.setattr(verify_mod, "hook_content_vector", perturbed)
+    monkeypatch.setattr(solver_mod, "hook_content_vector", perturbed)
     code, out, _ = run_cli(capsys, "verify", "--suite", "recursion",
                            "--max-degree", "3")
     assert code == 1
@@ -403,10 +403,11 @@ def test_verify_branching_failure_reports_the_difference(capsys, monkeypatch):
 
 
 def test_verify_commutator_failure_reports_both_coefficients(capsys, monkeypatch):
-    import skeinsolve.verify as verify_mod
-    from skeinsolve import Z_BRACKET
+    import skeinsolve.skein as skein_mod
 
-    monkeypatch.setattr(verify_mod, "Z_BRACKET", 2 * Z_BRACKET)
+    # doubling P11 itself, not Z_BRACKET: skein.diagonal_part reads
+    # Z_BRACKET and is memoised, so a patched bracket would outlive the test
+    monkeypatch.setattr(skein_mod, "P11_OP", skein_mod.P11_OP.scale(2))
     # P11 scaled by 2 (q^{1/2} - q^{-1/2}) against [P10, P01] on W_(), which
     # is (q^{1/2} - q^{-1/2}) aL W_(1)
     assert _failing_report(capsys, "commutator") == (
@@ -415,11 +416,11 @@ def test_verify_commutator_failure_reports_both_coefficients(capsys, monkeypatch
 
 
 def test_verify_symmetry_failure_reports_both_forms(capsys, monkeypatch):
-    import skeinsolve.verify as verify_mod
+    import skeinsolve.solver as solver_mod
     from skeinsolve import Partition, RationalFunction
 
     wrong = Partition([2, 1])
-    closed = verify_mod.closed_form
+    closed = solver_mod.closed_form
 
     def perturbed(geom, p):
         value = closed(geom, p)
@@ -427,7 +428,7 @@ def test_verify_symmetry_failure_reports_both_forms(capsys, monkeypatch):
             return value + RationalFunction(1, 3)
         return value
 
-    monkeypatch.setattr(verify_mod, "closed_form", perturbed)
+    monkeypatch.setattr(solver_mod, "closed_form", perturbed)
     primed = closed("unknot-prime", wrong)
     assert _failing_report(capsys, "symmetry") == (
         f"first counterexample: partition=(2,1) swapped={primed} "
@@ -435,15 +436,15 @@ def test_verify_symmetry_failure_reports_both_forms(capsys, monkeypatch):
 
 
 def test_verify_annihilation_failure_reports_a_coefficient(capsys, monkeypatch):
-    import skeinsolve.verify as verify_mod
+    import skeinsolve.solver as solver_mod
     from skeinsolve import Partition, SkeinVector
 
-    grow = verify_mod.hook_content_vector
+    grow = solver_mod.hook_content_vector
 
     def perturbed(tag, n):
         return grow(tag, n) + SkeinVector.basis(Partition([2]), max_degree=n)
 
-    monkeypatch.setattr(verify_mod, "hook_content_vector", perturbed)
+    monkeypatch.setattr(solver_mod, "hook_content_vector", perturbed)
     # O and P10 act diagonally, so the stray W_(2) leaves a residual at (2),
     # minus its diagonal part aL (q^{1/2} - q^{-1/2}) (1 + q), and none in
     # lower degree
