@@ -92,10 +92,11 @@ def _is_complete(text: str, geometry: str, max_degree: int) -> bool:
     """Whether text has this key's header and one record per partition
     through max_degree: every coefficient is a nonzero hook-content product,
     so a cut entry has too few lines.  The records themselves are not
-    parsed."""
+    parsed.  A header json cannot decode, nested too deeply for it
+    included, is not this key's."""
     try:
         header = json.loads(text.partition("\n")[0])
-    except ValueError:
+    except (ValueError, RecursionError):
         return False
     expected = {"kind": "skein-vector", "schema": SCHEMA_VERSION,
                 "geometry": geometry, "max_degree": max_degree}

@@ -120,10 +120,11 @@ def skein_vector_from_records(records: list[dict]) -> SkeinVector:
 
 def dump_line(value) -> str:
     """Compact JSON of a dict with str keys, written in sorted key order, of
-    a list, a str (escaped to ASCII), an int, a LaurentPolynomial as its
-    terms {"a", "aL", "c", "g", "s"} in sorted_terms order with c a decimal
-    string, or a RationalFunction as {"den", "num"}; anything else, a bool,
-    float or None included, raises TypeError.
+    a str (escaped to ASCII), an int, a LaurentPolynomial as its terms
+    {"a", "aL", "c", "g", "s"} in sorted_terms order with c a decimal
+    string, or a RationalFunction as {"den", "num"}: every record the
+    package writes is a dict of these or a bare RationalFunction.  Anything
+    else, a list, tuple, bool, float or None included, raises TypeError.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -135,8 +136,6 @@ def dump_line(value) -> str:
     if isinstance(value, dict):
         return "{" + ",".join([f"{_quote(k)}:{dump_line(value[k])}"
                                for k in sorted(value)]) + "}"
-    if isinstance(value, list):
-        return "[" + ",".join([dump_line(v) for v in value]) + "]"
     if isinstance(value, int) and not isinstance(value, bool):
         return int.__repr__(value)
     raise TypeError(f"cannot write a {type(value).__name__} as a record")
@@ -147,4 +146,9 @@ def dumps_records(records: Iterable[dict]) -> str:
 
 
 def loads_records(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    """The value of each nonblank line; ValueError for a line json cannot
+    decode, one nested too deeply for its recursion limit included."""
+    try:
+        return [json.loads(line) for line in text.splitlines() if line.strip()]
+    except RecursionError:
+        raise ValueError("a record is nested too deeply to decode") from None

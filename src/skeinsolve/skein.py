@@ -11,10 +11,10 @@ coefficients, truncated at a fixed degree; the generators act by
     P11:     mu -> sum over added boxes, each of box_weight aL q^{content}
 
 This module is the one place those actions are written down: the solver
-reads the diagonal part and the box weights from here.  P11's per-box form
-is the closed expression for (q^{1/2} - q^{-1/2})^{-1} [P10, P01]; the raw
-commutator is kept available through OperatorExpression composition as an
-independent cross-check.
+reads the diagonal part and the box weights, functions of a box's content
+alone, from here.  P11's per-box form is the closed expression for
+(q^{1/2} - q^{-1/2})^{-1} [P10, P01]; the raw commutator is kept available
+through OperatorExpression composition as an independent cross-check.
 
 The generator table's entries apply_unknot, apply_p10, apply_p01 and
 apply_p11, internal to this module, act on one basis vector W_lambda
@@ -37,7 +37,6 @@ from operator import index
 from typing import Iterable, Mapping
 
 from .partitions import (
-    Cell,
     Partition,
     addable_cells,
     content_polynomial,
@@ -159,14 +158,14 @@ def diagonal_part(p: Partition) -> LaurentPolynomial:
     return AL * Z_BRACKET * content_polynomial(p)
 
 
-def box_weight(gen: Generator, cell: Cell) -> LaurentPolynomial:
-    """Coefficient a raising generator attaches to the box it adds: 1 for
-    P01 and aL q^{content} for P11.  ValueError for a generator that adds
-    no box."""
+def box_weight(gen: Generator, content: int) -> LaurentPolynomial:
+    """Coefficient a raising generator attaches to the box it adds, of
+    content c: 1 for P01 and aL q^c for P11.  ValueError for a generator
+    that adds no box."""
     if gen is Generator.P01:
         return ONE
     if gen is Generator.P11:
-        return monomial(1, s=2 * cell.content, aL=1)
+        return monomial(1, s=2 * content, aL=1)
     raise ValueError(f"{gen.value} adds no box")
 
 
@@ -185,7 +184,7 @@ def _apply_raising(lam: Partition, n: int,
                    gen: Generator) -> dict[Partition, tuple[LaurentPolynomial, int]]:
     if lam.size >= n:
         return {}  # truncated
-    return {mu: (box_weight(gen, cell), 0) for mu, cell in addable_cells(lam)}
+    return {mu: (box_weight(gen, cell.content), 0) for mu, cell in addable_cells(lam)}
 
 
 def apply_p01(lam: Partition, n: int) -> dict[Partition, tuple[LaurentPolynomial, int]]:

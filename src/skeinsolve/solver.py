@@ -10,7 +10,9 @@ partition because skein's diagonal_part is a nonzero multiple of the
 content polynomial.  solve_recursion solves it that way.  Its solution is
 the hook-content product over the cells of the indexing partition: each
 cell contributes the raising weight of x P01 + y P11 over {hook}, and the
-common denominator prod {hook} comes from the cyclotomic hook vector.
+common denominator prod {hook} comes from the cyclotomic hook vector.  The
+raising weight is a function of a box's content alone, so solve_recursion
+and the growth each compute it once per content, behind functools.cache.
 One memoised growth step builds that product box by box; closed_form reads
 it for one partition, and hook_content_vector, which psi prints, for every
 partition through a degree.  The recursion is their check.
@@ -25,7 +27,6 @@ from typing import Callable, NamedTuple
 from .partitions import (
     BOX,
     EMPTY,
-    Cell,
     Partition,
     enumerate_partitions,
     hook_denominator,
@@ -106,11 +107,11 @@ class Geometry(NamedTuple):
     def operator(self) -> OperatorExpression:
         return UNKNOT_OP - P10_OP + P01_OP.scale(self.x) + P11_OP.scale(self.y)
 
-    def raising_weight(self, cell: Cell) -> LaurentPolynomial:
+    def raising_weight(self, content: int) -> LaurentPolynomial:
         """Coefficient the operator's raising part x P01 + y P11 attaches to
-        an added box, from skein's box weights of P01 and P11."""
-        return (self.x * box_weight(Generator.P01, cell)
-                + self.y * box_weight(Generator.P11, cell))
+        an added box of this content, from skein's box weights."""
+        return (self.x * box_weight(Generator.P01, content)
+                + self.y * box_weight(Generator.P11, content))
 
 
 PRESETS = {geom.tag: geom for geom in (
@@ -129,20 +130,6 @@ def geometry(g: Geometry | str) -> Geometry:
     return PRESETS[g]
 
 
-def _weights_by_content(geom: Geometry) -> Callable[[Cell], LaurentPolynomial]:
-    """geom.raising_weight, computed once per content: the weight depends on
-    a cell only through its content."""
-    weights: dict[int, LaurentPolynomial] = {}
-
-    def weight(cell: Cell) -> LaurentPolynomial:
-        w = weights.get(cell.content)
-        if w is None:
-            w = weights[cell.content] = geom.raising_weight(cell)
-        return w
-
-    return weight
-
-
 def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
     """The unique solution of the geometry's annihilation equation with
     leading coefficient 1, computed through the given degree.
@@ -151,25 +138,30 @@ def solve_recursion(geom: Geometry | str, max_degree: int) -> SkeinVector:
     part on each partition:
 
         psi_mu = sum over (lambda, box) with lambda + box = mu
-                 of raising_weight(box) psi_lambda / diagonal_part(mu)
+                 of raising_weight(box.content) psi_lambda / diagonal_part(mu)
+
+    The weights are cached per call, so the recursion shares no state with
+    the growth that closed_form reads.
     """
     geom = geometry(geom)
-    weight = _weights_by_content(geom)
+    weight = cache(geom.raising_weight)
     coeffs: dict[Partition, RationalFunction] = {EMPTY: RationalFunction(1)}
     for degree in range(1, max_degree + 1):
         for mu in enumerate_partitions(degree):
             total = RationalFunction(0)
             for lam, cell in removable_cells(mu):
-                total = total + coeffs[lam] * weight(cell)
+                total = total + coeffs[lam] * weight(cell.content)
             coeffs[mu] = total / diagonal_part(mu)
     return SkeinVector(coeffs, max_degree)
 
 
 @lru_cache(maxsize=3)  # annihilation and recursion grow all three presets
-def _growth(geom: Geometry) -> tuple[Callable[[Cell], LaurentPolynomial],
+def _growth(geom: Geometry) -> tuple[Callable[[int], LaurentPolynomial],
                                      dict[Partition, LaurentPolynomial]]:
-    """The geometry's weight by content and its grown tops, {EMPTY: 1} at first."""
-    return _weights_by_content(geom), {EMPTY: ONE}
+    """The geometry's raising weight, cached by content, and its grown tops,
+    {EMPTY: 1} at first.  The tops are filled by hand: _grown walks a chain
+    down to the first partition grown, which a functools cache cannot do."""
+    return cache(geom.raising_weight), {EMPTY: ONE}
 
 
 @cache
@@ -185,7 +177,7 @@ def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPoly
     r, column c: hook 1, content c - r, and 1 more on the r - 1 hooks above
     and c - 1 to its left, so top's power of s, sum(hook - content), gains 2r - 1:
 
-        top_mu = top_lambda raising_weight(box) s^{2r - 1} aL^{-1}.
+        top_mu = top_lambda raising_weight(c - r) s^{2r - 1} aL^{-1}.
 
     The chain is walked down to the first partition already grown and back
     up.  _growth is keyed by the Geometry value (x and y, not only tag), so a
@@ -202,7 +194,7 @@ def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPoly
         chain.append((mu, *removable_cells(mu)[0]))
         mu = chain[-1][1]
     for mu, lam, box in reversed(chain):
-        grown[mu] = grown[lam] * (weight(box) * monomial(1, s=2 * box.row - 1, aL=-1))
+        grown[mu] = grown[lam] * (weight(box.content) * monomial(1, s=2 * box.row - 1, aL=-1))
     return grown[p], _hook_product(frozenset(hook_denominator(p).items()))
 
 
@@ -210,7 +202,7 @@ def closed_form(geom: Geometry | str, p: Partition) -> RationalFunction:
     """Hook-content product for the geometry's coefficient of p, read off
     the operator:
 
-        prod over cells of raising_weight(cell) aL^{-1} q^{-c/2} / {hook}
+        prod over cells of raising_weight(c) aL^{-1} q^{-c/2} / {hook}
 
     It solves the recursion of solve_recursion: adding a box to lambda
     multiplies the product over lambda's cells by that box's weight, and the

@@ -3,8 +3,8 @@
 SUITES is the one table of suites: each name maps to its default degree and
 its checks, a generator over the degree bound that yields one item per
 identity, None when it holds and the counterexample text when it fails, so
-the text is built only on failure.  run_suite counts the items into a
-SuiteReport, which keeps the first counterexample.
+the text is built only on failure.  run_suite counts the items and returns
+the counts and the first counterexample as one SuiteReport value.
 
 Each suite imports the ring, skein and solver names it uses inside its own
 body, so loading this module, as every CLI command does, loads partitions
@@ -13,7 +13,7 @@ and nothing heavier.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .partitions import (
     branching_difference,
@@ -27,31 +27,19 @@ from .partitions import (
 )
 
 
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """Counts of one suite's identities checked and failed, and the first
     counterexample found."""
 
-    __slots__ = ("suite", "max_degree", "checked", "failures",
-                 "first_counterexample")
-
-    def __init__(self, suite: str, max_degree: int):
-        self.suite = suite
-        self.max_degree = max_degree
-        self.checked = 0
-        self.failures = 0
-        self.first_counterexample: str | None = None
+    suite: str
+    max_degree: int
+    checked: int
+    failures: int
+    first_counterexample: str | None
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
-
-    def record(self, failure: str | None) -> None:
-        """Count one identity: None if it holds, else its counterexample."""
-        self.checked += 1
-        if failure is not None:
-            self.failures += 1
-            if self.first_counterexample is None:
-                self.first_counterexample = failure
 
     def lines(self) -> list[str]:
         status = "pass" if self.passed else "FAIL"
@@ -67,10 +55,15 @@ def run_suite(name: str, max_degree: int | None = None) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}")
     default, checks = SUITES[name]
     n = default if max_degree is None else max_degree
-    report = SuiteReport(suite=name, max_degree=n)
+    checked = failures = 0
+    first = None
     for failure in checks(n):
-        report.record(failure)
-    return report
+        checked += 1
+        if failure is not None:
+            failures += 1
+            if first is None:
+                first = failure
+    return SuiteReport(name, n, checked, failures, first)
 
 
 def _recursion(n: int) -> Iterator[str | None]:

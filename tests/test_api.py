@@ -1,14 +1,21 @@
 """Every module-level function and class in the package, public or private,
 is used by the package itself, and every public method and property of a
-package class by the package or the benchmark: a name that only the
-exports or the tests reach is unused API, and a private helper that only
-the tests reach was orphaned by a deletion.  Every name a module imports is
-also read there."""
+package class runs in a command or is read by the benchmark: a name that
+only the exports or the tests reach is unused API, and a private helper
+that only the tests reach was orphaned by a deletion.  Every name a module
+imports is also read there."""
 
 import ast
+import contextlib
+import importlib
+import inspect
+import io
+import sys
 from pathlib import Path
 
 import skeinsolve
+from skeinsolve.cli import PRESET_NAMES, TEMPLATE_NAMES, main
+from skeinsolve.verify import SUITES
 
 PACKAGE = Path(skeinsolve.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -69,25 +76,79 @@ def test_every_private_definition_is_used_inside_the_package():
     assert _unused_definitions(private=True) == []
 
 
-def test_every_public_method_is_used_outside_its_definition():
-    # a method is reached as x.name; a local variable or parameter of the
-    # same name does not use it
-    trees = {path.name: _parse(path) for path in MODULES}
+def _commands() -> list[list[str]]:
+    """Every command and format once, psi a miss and a hit per geometry and
+    format, and every suite."""
+    formats = [["--format", fmt] for fmt in ("text", "records")]
+    psi = [["psi", "--geometry", g, "--max-degree", "3", *fmt]
+           for g in PRESET_NAMES for fmt in formats for _ in range(2)]
+    data = [[*argv, *fmt] for fmt in formats for argv in (
+        ["closed-form", "--geometry", "unknot", "--partition", "2,1"],
+        ["invariant", "--partition", "2,1"],
+        ["partitions", "3"],
+        ["content-poly", "2,1"],
+        ["hook-poly", "2,1"],
+        *(["solve-coefficients", "--geometry", g] for g in TEMPLATE_NAMES))]
+    suites = [["verify", "--suite", s, "--max-degree", "3"] for s in SUITES]
+    return psi + data + suites
+
+
+def _modules():
+    return [importlib.import_module(f"skeinsolve.{path.stem}") for path in MODULES]
+
+
+def _code_run_by_the_commands() -> set:
+    """The code objects called while the commands run in this process, with
+    the package's functools caches emptied first, so that what a warm cache
+    would skip runs too."""
+    for module in _modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            codes = [main(argv) for argv in _commands()]
+        finally:
+            sys.setprofile(None)
+    assert codes == [0] * len(codes)
+    return ran
+
+
+def _public_methods():
+    """(class.name, code) of every public method and property a package
+    class defines, decorators unwrapped."""
+    for module in _modules():
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and cls.__module__ == module.__name__):
+                continue
+            for name, value in vars(cls).items():
+                if name.startswith("_"):
+                    continue
+                if isinstance(value, property):
+                    value = value.fget
+                elif isinstance(value, (classmethod, staticmethod)):
+                    value = value.__func__
+                code = getattr(inspect.unwrap(value), "__code__", None)
+                if code is not None:
+                    yield f"{cls.__name__}.{name}", code
+
+
+def test_every_public_method_is_used_outside_its_definition(tmp_path, monkeypatch):
+    # a method counts as used when a command runs it, class by class: a
+    # method of the same name on another class does not use it
+    monkeypatch.setenv("SKEINSOLVE_CACHE_DIR", str(tmp_path))
     bench = set().union(*(_referenced_names(_parse(path), attributes_only=True)
                           for path in PERFBENCH))
-    unused = []
-    for name, tree in trees.items():
-        others = bench.union(*(_referenced_names(t, attributes_only=True)
-                               for n, t in trees.items() if n != name))
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in cls.body:
-                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                        and node.name not in others
-                        and node.name not in _referenced_names(tree, skip=node,
-                                                               attributes_only=True)):
-                    unused.append(f"{name}:{cls.name}.{node.name}")
+    ran = _code_run_by_the_commands()
+    unused = [name for name, code in _public_methods()
+              if code not in ran and name.split(".")[1] not in bench]
     assert unused == []
 
 

@@ -226,6 +226,30 @@ def test_entry_with_unreadable_records_is_a_miss_and_rewritten(capsys, isolated_
     assert entry.read_bytes() == stored
 
 
+@pytest.mark.parametrize("line, fmt", [(0, "records"), (0, "text"), (2, "text")],
+                         ids=("header-records", "header-text", "record-text"))
+def test_entry_nested_too_deeply_for_json_is_a_miss_and_rewritten(
+        capsys, isolated_cache, monkeypatch, line, fmt):
+    # one line of the entry, the header or the partition-1 record, holds
+    # JSON nested past the decoder's recursion limit, under a valid sha256
+    args = ("psi", "--geometry", "c3", "--max-degree", "2")
+    code, fresh, _ = run_cli(capsys, *args, "--format", fmt, "--no-cache")
+    code, cold, _ = run_cli(capsys, *args, "--format", "records")
+    [entry] = isolated_cache.glob("psi-c3-N2-schema*.jsonl")
+    stored = entry.read_bytes()
+    lines = stored.decode("utf-8").split("\n")[1:]
+    lines[line] = "[" * 100_000 + "]" * 100_000
+    body = "\n".join(lines).encode("utf-8")
+    entry.write_bytes(b"sha256 " + hashlib.sha256(body).hexdigest().encode("ascii")
+                      + b"\n" + body)
+    assert run_cli(capsys, *args, "--format", fmt) == (0, fresh, "")
+    assert entry.read_bytes() == stored
+    # the rewritten entry is a hit: nothing is solved again
+    import skeinsolve.solver as solver_mod
+    monkeypatch.setattr(solver_mod, "hook_content_vector", None)
+    assert run_cli(capsys, *args, "--format", "records") == (0, cold, "")
+
+
 def test_entry_from_another_version_is_a_miss(capsys, isolated_cache, monkeypatch):
     import skeinsolve.cache as cache_mod
 
@@ -327,17 +351,20 @@ def test_suite_at_its_default_degree_checks_every_identity_and_passes(line):
     assert run_suite(suite).lines() == [line]
 
 
-def test_suite_report_starts_at_zero_and_keeps_the_first_counterexample():
-    report = SuiteReport(suite="parity", max_degree=4)
-    assert (report.checked, report.failures) == (0, 0)
-    assert report.first_counterexample is None and report.passed
+def test_suite_report_starts_at_zero_and_keeps_the_first_counterexample(monkeypatch):
+    # run_suite counts what the checks yield into one SuiteReport value
+    import skeinsolve.verify as verify_mod
+
+    monkeypatch.setitem(verify_mod.SUITES, "parity", (4, lambda n: iter(())))
+    report = run_suite("parity")
+    assert report == SuiteReport("parity", 4, 0, 0, None) and report.passed
     assert report.lines() == ["suite=parity max-degree=4 checked=0 failures=0 pass"]
-    report.record(None)
-    report.record("first")
-    report.record("second")
-    assert (report.checked, report.failures) == (3, 2)
+    monkeypatch.setitem(verify_mod.SUITES, "parity",
+                        (4, lambda n: iter([None, "first", None, "second"])))
+    report = run_suite("parity", 3)
+    assert report == SuiteReport("parity", 3, 4, 2, "first") and not report.passed
     assert report.lines() == [
-        "suite=parity max-degree=4 checked=3 failures=2 FAIL",
+        "suite=parity max-degree=3 checked=4 failures=2 FAIL",
         "first counterexample: first"]
 
 
@@ -345,9 +372,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     import skeinsolve.cli as cli_mod
 
     def failing(name, max_degree=None):
-        report = SuiteReport(suite=name, max_degree=0)
-        report.record("partition=(2,1)")
-        return report
+        return SuiteReport(name, 0, 1, 1, "partition=(2,1)")
 
     monkeypatch.setattr(cli_mod, "run_suite", failing)
     code, out, _ = run_cli(capsys, "verify", "--suite", "parity")

@@ -131,9 +131,8 @@ def test_p10_minus_unknot_is_the_diagonal_part():
 
 @pytest.mark.parametrize("gen", (Generator.UNKNOT, Generator.P10))
 def test_box_weight_rejects_a_generator_that_adds_no_box(gen):
-    [cell] = cells(BOX)
     with pytest.raises(ValueError):
-        box_weight(gen, cell)
+        box_weight(gen, 0)
 
 
 def test_p01_branches():
@@ -309,7 +308,7 @@ def _generator_on_vector(gen: Generator, v: SkeinVector) -> SkeinVector:
         elif gen is Generator.P10:
             images = [(lam, UNKNOT_VALUE + diagonal_part(lam))]
         elif lam.size < v.max_degree:
-            images = [(mu, RationalFunction(box_weight(gen, cell)))
+            images = [(mu, RationalFunction(box_weight(gen, cell.content)))
                       for mu, cell in addable_cells(lam)]
         else:
             images = []

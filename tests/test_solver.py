@@ -144,6 +144,31 @@ def test_memo_holds_at_most_three_geometries(cold_memo):
     assert solver_mod._growth.cache_info().currsize == 3
 
 
+@pytest.fixture
+def raising_contents(monkeypatch):
+    """The contents Geometry.raising_weight is called with, in call order."""
+    contents, original = [], Geometry.raising_weight
+
+    def counted(self, content):
+        contents.append(content)
+        return original(self, content)
+
+    monkeypatch.setattr(Geometry, "raising_weight", counted)
+    return contents
+
+
+def test_recursion_computes_each_raising_weight_once(raising_contents):
+    # partitions through degree 8 have contents -7..7: one call each
+    solve_recursion(Geometry("counted-recursion", S ** 2 - 1 + A, 2 * G), 8)
+    assert sorted(raising_contents) == list(range(-7, 8))
+
+
+def test_growth_computes_each_raising_weight_at_most_once(raising_contents):
+    # the growth reaches every content in -7..7 too, and each one once
+    hook_content_vector(Geometry("counted-growth", S ** 2 - 1 + A, 3 * G), 8)
+    assert sorted(raising_contents) == list(range(-7, 8))
+
+
 def test_conjugates_and_geometries_share_one_hook_denominator(cold_memo):
     c3, unknot = PRESETS["c3"], PRESETS["unknot"]
     psi = solve_recursion(unknot, 7)
@@ -183,7 +208,7 @@ def test_raising_weight_is_the_skein_raising_action(geom):
     raising = geom.operator - UNKNOT_OP + P10_OP
     for lam in partitions_through(4):
         image = raising.apply(SkeinVector.basis(lam, lam.size + 1))
-        expected = SkeinVector({mu: geom.raising_weight(cell)
+        expected = SkeinVector({mu: geom.raising_weight(cell.content)
                                 for mu, cell in addable_cells(lam)}, lam.size + 1)
         assert image == expected, lam
 
