@@ -74,19 +74,27 @@ class Partition(tuple):
         return sum(self)
 
     def conjugate(self) -> "Partition":
-        if not self:
-            return Partition()
-        cols = [0] * self[0]
-        for p in self:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        """The column lengths, longest first: the p_i - p_{i+1} columns that
+        end in row i have length i, so the rows are read from the last up."""
+        cols: list[int] = []
+        below = 0
+        for rows in range(len(self), 0, -1):
+            part = self[rows - 1]
+            cols += [rows] * (part - below)
+            below = part
+        return _new_partition(cols)
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self)
 
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
+
+
+def _new_partition(parts: Iterable[int]) -> Partition:
+    """Wrap parts already positive and nonincreasing, unchecked: the
+    partitions this module derives from valid ones."""
+    return tuple.__new__(Partition, parts)
 
 
 EMPTY = Partition()
@@ -133,7 +141,7 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
     if index(n) < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(Partition(parts) for parts in _descending(n, n))
+    return tuple(map(_new_partition, _descending(n, n)))
 
 
 def _descending(left: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -193,7 +201,7 @@ def addable_cells(p: Partition) -> tuple[tuple[Partition, Cell], ...]:
             grown[row - 1] += 1
         else:
             grown.append(1)
-        out.append((Partition(grown), Cell(row, cur + 1, 0, 0)))
+        out.append((_new_partition(grown), Cell(row, cur + 1, 0, 0)))
     return tuple(out)
 
 
@@ -213,7 +221,7 @@ def removable_cells(p: Partition) -> tuple[tuple[Partition, Cell], ...]:
         shrunk[row - 1] -= 1
         if shrunk[row - 1] == 0:
             shrunk.pop()
-        out.append((Partition(shrunk), Cell(row, p[row - 1], 0, 0)))
+        out.append((_new_partition(shrunk), Cell(row, p[row - 1], 0, 0)))
     return tuple(out)
 
 
@@ -227,15 +235,20 @@ def hook_denominator(p: Partition) -> Mapping[int, int]:
     """The hook denominator H_p = prod over cells of (q^{hook} - 1) as
     cyclotomic exponents {d: e}, with H_p = prod over d of Phi_d(q)^e.
 
-    A cell contributes one Phi_d for each divisor d of its hook, so e_1 = |p|,
-    and h_p = q^{-sum of legs} H_p / (q - 1)^{|p|}.  The mapping is read-only.
+    Phi_d divides q^h - 1 exactly when d divides h, so e_d counts the hooks
+    that d divides, e_1 = |p|, and h_p = q^{-sum of legs} H_p / (q - 1)^{|p|}.
+    The hooks are counted from the parts and the conjugate, as cells reads
+    them, without building the cells: the cell in row i, column j has arm
+    p_i - j and leg p'_j - i.  The mapping is read-only.
     """
-    out: dict[int, int] = {}
-    for h, k in Counter([c.hook for c in cells(p)]).items():
-        for d in range(1, h + 1):
-            if h % d == 0:
-                out[d] = out.get(d, 0) + k
-    return MappingProxyType(out)
+    if not isinstance(p, Partition):
+        raise TypeError(f"hook_denominator takes a Partition, got {type(p).__name__}")
+    leg_less_col = [length - col for col, length in enumerate(p.conjugate(), start=1)]
+    counts = [0] * (p[0] + len(p) if p else 1)  # the longest hook is p_1 + p'_1 - 1
+    for row, part in enumerate(p, start=1):
+        for x in leg_less_col[:part]:
+            counts[part - row + 1 + x] += 1
+    return MappingProxyType({d: e for d in range(1, len(counts)) if (e := sum(counts[d::d]))})
 
 
 def _branching_sides(mu: Partition) -> tuple[LaurentPolynomial, LaurentPolynomial, dict[int, int]]:

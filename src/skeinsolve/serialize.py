@@ -39,11 +39,12 @@ def _coefficient(text) -> int:
     raise ValueError(f"coefficient is not a decimal string: {text!r}")
 
 
-def poly_from_records(records: list[dict]) -> LaurentPolynomial:
+def poly_from_records(records: list[dict], *, s_bound: int | None = None) -> LaurentPolynomial:
     """The canonical polynomial of a record list in any order: zero terms
     are dropped.  Raises ValueError if the records are not a list of term
-    records with int exponents and decimal-string coefficients, or if an
-    exponent is repeated."""
+    records with int exponents and decimal-string coefficients, if an
+    exponent is repeated, or if an s exponent lies beyond +-s_bound when one
+    is given; that is checked before the dense s-lists are allocated."""
     if type(records) is not list:
         raise ValueError(f"polynomial records must be a list, got {records!r}")
     terms = {}
@@ -54,13 +55,15 @@ def poly_from_records(records: list[dict]) -> LaurentPolynomial:
             raise ValueError(f"not a term record: {r!r}") from None
         if not (type(s) is type(a) is type(aL) is type(g) is int):
             raise ValueError(f"exponents must be ints: {r!r}")
+        if s_bound is not None and not -s_bound <= s <= s_bound:
+            raise ValueError(f"s exponent beyond +-{s_bound}: {r!r}")
         terms[(s, a, aL, g)] = _coefficient(text)
     if len(terms) != len(records):
         raise ValueError("repeated exponent in polynomial records")
     return LaurentPolynomial(terms)
 
 
-def rf_from_record(record: dict) -> RationalFunction:
+def rf_from_record(record: dict, *, s_bound: int | None = None) -> RationalFunction:
     """The value dump_line wrote, wrapped as read, without a second reduction.
 
     dump_line writes only reduced values, and a cache entry's sha256 line and
@@ -69,9 +72,10 @@ def rf_from_record(record: dict) -> RationalFunction:
     as they are, reduced or not.  The denominator must still be in the
     normal form dump_line writes, a nonzero polynomial in s with a nonzero
     constant term and a positive leading coefficient: ValueError if not.
+    s_bound bounds the s exponents as in poly_from_records.
     """
-    num = poly_from_records(_field(record, "num"))
-    den = poly_from_records(_field(record, "den"))
+    num = poly_from_records(_field(record, "num"), s_bound=s_bound)
+    den = poly_from_records(_field(record, "den"), s_bound=s_bound)
     if den.is_zero:
         raise ValueError("zero denominator")
     lo, coeffs = _as_int_poly(den)  # ValueError for a, aL or g
@@ -96,7 +100,14 @@ def skein_vector_records(v: SkeinVector, *, geometry: str, operator: str) -> lis
 
 def skein_vector_from_records(records: list[dict]) -> SkeinVector:
     """The skein vector skein_vector_records wrote; ValueError for records
-    of another shape, a repeated partition or a bad coefficient."""
+    of another shape, a repeated partition or a bad coefficient.
+
+    A coefficient with an s exponent beyond +-N(N+1), N the header's
+    max_degree, is a bad one, refused before its s-list is allocated: the
+    hook denominator of the one-row partition (N) reaches s^{N(N+1)}, and
+    every coefficient psi writes through degree N, for each preset, has its
+    s exponents in [0, N(N+1)].
+    """
     if not records or type(records[0]) is not dict:
         raise ValueError("no skein-vector header")
     header = records[0]
@@ -107,12 +118,14 @@ def skein_vector_from_records(records: list[dict]) -> SkeinVector:
     max_degree = _field(header, "max_degree")
     if type(max_degree) is not int:
         raise ValueError(f"max_degree must be an int, got {max_degree!r}")
+    s_bound = max_degree * (max_degree + 1)
     coeffs = {}
     for r in records[1:]:
         text = _field(r, "partition")
         if type(text) is not str:
             raise ValueError(f"partition must be a string, got {text!r}")
-        coeffs[Partition.parse(text)] = rf_from_record(_field(r, "coefficient"))
+        coeffs[Partition.parse(text)] = rf_from_record(_field(r, "coefficient"),
+                                                       s_bound=s_bound)
     if len(coeffs) != len(records) - 1:
         raise ValueError("repeated partition in skein-vector records")
     return SkeinVector(coeffs, max_degree)
@@ -125,10 +138,19 @@ def dump_line(value) -> str:
     string, or a RationalFunction as {"den", "num"}: every record the
     package writes is a dict of these or a bare RationalFunction.  Anything
     else, a list, tuple, bool, float or None included, raises TypeError.
+
+    A polynomial with one (a, aL, g) slice, every hook denominator and
+    every c3 numerator among them, is written straight from its s-list,
+    already in sorted_terms order; the others are sorted by _sorted_rows.
     """
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, LaurentPolynomial):
+        if len(value._slices) == 1:
+            ((a, aL, g), (lo, coeffs)), = value._slices.items()
+            head, tail = f'{{"a":{a},"aL":{aL},"c":"', f'","g":{g},"s":'
+            return "[" + ",".join([f"{head}{c}{tail}{s}}}"
+                                   for s, c in enumerate(coeffs, lo) if c]) + "]"
         return "[" + ",".join([f'{{"a":{a},"aL":{aL},"c":"{c}","g":{g},"s":{s}}}'
                                for s, a, aL, g, c in _sorted_rows(value)]) + "]"
     if isinstance(value, RationalFunction):

@@ -203,6 +203,8 @@ _UNREADABLE_RECORDS = {
     "missing numerator": (',"num":[{"a":0,"aL":0,"c":"1","g":1,"s":1}]', ''),
     "missing exponent": ('"g":1,"s":1}', '"g":1}'),
     "term not a record": ('"num":[{"a":0,"aL":0,"c":"1","g":1,"s":1}]', '"num":[1]'),
+    # beyond N(N+1) = 6: a wider span would allocate its whole s-list on read
+    "s exponent beyond N(N+1)": ('"g":1,"s":1}', '"g":1,"s":7}'),
 }
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,27 @@ def test_partition_validation():
         Partition((2, 0))
     assert Partition((3, 3, 1)).size == 7
     assert len(Partition((3, 3, 1))) == 3
+
+
+def test_derived_partitions_are_the_checked_ones():
+    # enumeration, adding and removing a box, and conjugation wrap their
+    # parts unchecked; the checked constructor must take every one of them
+    for p in partitions_through(12):
+        derived = [p, p.conjugate(), *(lam for lam, _ in addable_cells(p))]
+        if p:
+            derived += [lam for lam, _ in removable_cells(p)]
+        for q in derived:
+            assert type(q) is Partition and q == Partition(tuple(q)), (p, q)
+        # column j counts the parts of at least j boxes
+        assert p.conjugate() == tuple(sum(part >= j for part in p)
+                                      for j in range(1, (p[0] if p else 0) + 1)), p
+        assert p.conjugate().conjugate() == p
+    with pytest.raises(ValueError):
+        Partition((2, 3))
+    with pytest.raises(TypeError):
+        Partition((2.0,))
+    with pytest.raises(ValueError):
+        Partition.parse("-1")
 
 
 @pytest.mark.parametrize("parts", [(2.7, 1.2), (2.0, 1), ("3", 1)])
@@ -331,6 +353,23 @@ def test_hook_denominator_reproduces_the_hook_product(n):
         sigma = -sum(c.leg for c in cells(p))
         shifted = monomial(1, s=2 * sigma) * denominator
         assert hook_polynomial_qpower_form(p) * (Q - 1) ** p.size == shifted, p
+
+
+def _divisors_by_trial_division(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_hook_denominator_counts_the_hooks_cells_reads():
+    # reference: one Phi_d per divisor d of each hook of cells(p)
+    for p in partitions_through(12):
+        expected = Counter()
+        for h, k in Counter(c.hook for c in cells(p)).items():
+            for d in _divisors_by_trial_division(h):
+                expected[d] += k
+        assert dict(hook_denominator(p)) == dict(expected), p
+    # a plain tuple is refused, also after its Partition was asked for
+    with pytest.raises(TypeError):
+        hook_denominator((3, 1))
 
 
 def test_hook_denominator_examples_and_read_only():

@@ -9,10 +9,11 @@ from skeinsolve import (
     Partition,
     RationalFunction,
     SkeinVector,
+    hook_content_vector,
     solve_recursion,
 )
 from skeinsolve.partitions import BOX, EMPTY
-from skeinsolve.ring import Exponent
+from skeinsolve.ring import Exponent, cyclotomic_product
 from skeinsolve.serialize import (
     SCHEMA_VERSION,
     dump_line,
@@ -187,6 +188,39 @@ def test_skein_vector_from_records_rejects_malformed_records(damage):
         skein_vector_from_records(damage(rows))
 
 
+def _with_moved_term(rows, s):
+    """rows with the numerator term of partition "1" moved to s^s."""
+    coeff = rows[2]["coefficient"]
+    assert rows[2]["partition"] == "1" and len(coeff["num"]) == 1
+    return rows[:2] + [dict(rows[2], coefficient=dict(
+        coeff, num=[dict(coeff["num"][0], s=s)]))] + rows[3:]
+
+
+def test_skein_vector_from_records_bounds_s_by_the_header_degree():
+    # through degree N = 2 a record's s exponents lie within +-N(N+1) = 6
+    rows = loads_records(dumps_records(skein_vector_records(
+        solve_recursion("c3", 2), geometry="c3", operator="test")))
+    for s in (6, -6):
+        skein_vector_from_records(_with_moved_term(rows, s))
+    for s in (7, -7):
+        with pytest.raises(ValueError, match="beyond"):
+            skein_vector_from_records(_with_moved_term(rows, s))
+
+
+@pytest.mark.parametrize("geometry", ("c3", "unknot", "unknot-prime"))
+def test_psi_s_exponents_lie_within_the_reader_bound(geometry):
+    # the bound the reader puts on a degree-N vector holds for each of its
+    # partitions p, through |p| = 12: s exponents in [0, |p|(|p| + 1)], and
+    # the one-row partition reaches it
+    for p, coeff in hook_content_vector(geometry, 12).items():
+        n = p.size
+        powers = [e.s for f in (coeff.numerator, coeff.denominator)
+                  for e, _ in f.sorted_terms()]
+        assert 0 <= min(powers) and max(powers) <= n * (n + 1), p
+        if p == (n,):
+            assert max(powers) == n * (n + 1), p
+
+
 def test_skein_vector_round_trip():
     psi = solve_recursion("unknot", 4)
     records = skein_vector_records(psi, geometry="unknot", operator="test")
@@ -225,11 +259,22 @@ _BIG = 10 ** 40
 
 @st.composite
 def _record_polynomials(draw):
-    """Zero, small, and +-10^40-sized coefficients, negative exponents too."""
+    """Zero, small, and +-10^40-sized coefficients, negative exponents too;
+    and one-slice polynomials, in s alone or times a nonzero a^i aL^j g^k,
+    with a negative lowest power of s and zero slots inside their s-list."""
     coefficients = st.one_of(st.integers(min_value=-9, max_value=9),
                              st.integers(min_value=-_BIG - 9, max_value=-_BIG + 9),
                              st.integers(min_value=_BIG - 9, max_value=_BIG + 9))
-    return LaurentPolynomial(draw(st.dictionaries(exponents(), coefficients, max_size=4)))
+    shape = draw(st.sampled_from(("any", "s only", "one slice")))
+    if shape == "any":
+        return LaurentPolynomial(draw(st.dictionaries(exponents(), coefficients, max_size=4)))
+    _, *head = (Exponent() if shape == "s only"
+                else draw(exponents().filter(lambda e: e[1:] != (0, 0, 0))))
+    lo = draw(st.integers(min_value=-6, max_value=-1))
+    higher = draw(st.lists(st.integers(min_value=lo + 2, max_value=6),
+                           min_size=1, max_size=4, unique=True))  # slot lo + 1 is zero
+    return LaurentPolynomial({Exponent(s, *head): draw(coefficients.filter(bool))
+                              for s in (lo, *higher)})
 
 
 _KEYS = st.text(alphabet=st.sampled_from("abcsgLγ∘∅_ \"\\\n"), max_size=4)
@@ -264,6 +309,11 @@ def test_dump_line_examples():
     assert dump_line({"∅": {"p": p, "0": LaurentPolynomial()}, "b": "γ∘", "a": -7}) == (
         '{"a":-7,"b":"\\u03b3\\u2218","\\u2205":{"0":[],"p":[{"a":0,"aL":2,'
         f'"c":"{-_BIG}","g":-3,"s":-1}},{{"a":0,"aL":0,"c":"5","g":0,"s":2}}]}}}}')
+    assert dump_line(LaurentPolynomial()) == "[]"
+    # Phi_12(q) = q^4 - q^2 + 1: one slice, its zero slots skipped
+    assert dump_line(cyclotomic_product({12: 1})) == (
+        '[{"a":0,"aL":0,"c":"1","g":0,"s":0},{"a":0,"aL":0,"c":"-1","g":0,"s":4},'
+        '{"a":0,"aL":0,"c":"1","g":0,"s":8}]')
 
 
 @pytest.mark.parametrize("value", (
