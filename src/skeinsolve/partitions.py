@@ -7,6 +7,9 @@ the cell in row i, column j is j - i and the hook of a cell is the cell
 itself, its arm (cells to the right in the same row) and its leg (cells
 below in the same column).
 
+The content polynomial and the hook denominator are counted from the parts
+(and the conjugate) without building the cells.
+
 The product of (q^{hook} - 1) over the cells has one representation, the
 cyclotomic exponent vector of hook_denominator: the branching check, the
 closed forms and hook_polynomial all read it.  hook_polynomial_qpower_form
@@ -16,8 +19,8 @@ check of that vector.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from operator import index
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
@@ -160,9 +163,26 @@ def partitions_through(n: int) -> list[Partition]:
 
 
 def content_polynomial(p: Partition) -> LaurentPolynomial:
-    """Sum of q^{content} over the cells; evaluates to |p| at q = 1."""
-    from .ring import Exponent, LaurentPolynomial
-    return LaurentPolynomial(Counter(Exponent(s=2 * c.content) for c in cells(p)))
+    """Sum of q^{content} over the cells; evaluates to |p| at q = 1.
+
+    Row i holds the contents 1 - i .. p_i - i, so they fill 1 - len(p) ..
+    p_1 - 1 without a gap: one s-slice from s^{2(1 - len(p))}, counted from
+    the parts without building the cells, as a running sum of +1 where each
+    row's run starts and -1 past its end.
+    """
+    from .ring import _S_KEY, ZERO, _new_poly
+    if not isinstance(p, Partition):
+        raise TypeError(f"content_polynomial takes a Partition, got {type(p).__name__}")
+    if not p:
+        return ZERO
+    rows = len(p)
+    steps = [0] * (p[0] + rows)  # content c at c + len(p) - 1, and the end of row 1's run
+    for row, part in enumerate(p, start=1):
+        steps[rows - row] += 1
+        steps[rows - row + part] -= 1
+    coeffs = [0] * (2 * len(steps) - 3)  # in s = q^{1/2}
+    coeffs[::2] = accumulate(steps[:-1])
+    return _new_poly({_S_KEY: (2 * (1 - rows), coeffs)})
 
 
 def hook_polynomial(p: Partition) -> LaurentPolynomial:

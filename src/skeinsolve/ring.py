@@ -285,6 +285,11 @@ class LaurentPolynomial:
         Every image must be a single Laurent monomial with coefficient +1
         or -1, e.g. ``{"a": A**-1, "s": -S}``: ValueError if it is another
         polynomial or int, TypeError if it is neither.
+
+        Stored slices map whole: a slice's new key, s shift and sign are
+        read once, and when s maps to +-s^k alone its list maps to one list
+        (_map_s_list); otherwise each term gets its own key.  _add_slice
+        merges the pieces whose keys collide and drops a sum that cancels.
         """
         monomials: dict[str, SignedMonomial] = {}
         for name, img in images.items():
@@ -309,18 +314,23 @@ class LaurentPolynomial:
             odd[j] = int(sm.sign < 0)
         (ss, sa, sl, sg), (as_, aa, al, ag), (ls, la, ll, lg), (gs, ga, gl, gg) = columns
         os_, oa, ol, og = odd
-        acc: dict[tuple[int, int, int, int], int] = {}
-        get = acc.get
+        s_alone = not (sa or sl or sg)
+        out: dict[tuple[int, int, int], _Slice] = {}
         for (a, aL, g), (lo, coeffs) in self._slices.items():
+            shift = a * as_ + aL * ls + g * gs
+            a2, aL2, g2 = (a * aa + aL * la + g * ga, a * al + aL * ll + g * gl,
+                           a * ag + aL * lg + g * gg)
+            coeffs = _signed_list(lo, coeffs, (a * oa + aL * ol + g * og) & 1, os_)
+            if s_alone:
+                mapped = _map_s_list(lo, coeffs, ss)
+                if mapped is not None:
+                    _add_slice(out, (a2, aL2, g2), shift + mapped[0], mapped[1])
+                continue
+            # distinct powers of s land on distinct keys
             for s, c in enumerate(coeffs, lo):
-                if not c:
-                    continue
-                key = (s * ss + a * as_ + aL * ls + g * gs, s * sa + a * aa + aL * la + g * ga,
-                       s * sl + a * al + aL * ll + g * gl, s * sg + a * ag + aL * lg + g * gg)
-                if (s * os_ + a * oa + aL * ol + g * og) & 1:
-                    c = -c
-                acc[key] = get(key, 0) + c
-        return LaurentPolynomial(acc)
+                if c:
+                    _add_slice(out, (a2 + s * sa, aL2 + s * sl, g2 + s * sg), shift + s * ss, [c])
+        return _new_poly(out)
 
     # -- rendering -------------------------------------------------------
 
@@ -381,6 +391,34 @@ def _add_slice(slices: dict[tuple[int, int, int], _Slice], key: tuple[int, int, 
     while not out[start]:
         start += 1
     slices[key] = (lo + start, out[start:n])
+
+
+def _signed_list(lo: int, coeffs: list[int], flip: int, alternate: int) -> list[int]:
+    """s^lo * coeffs with every entry negated if flip is 1, and with the
+    entries of the odd powers of s negated too if alternate is 1."""
+    if not alternate:
+        return [-c for c in coeffs] if flip else coeffs
+    start = (lo + flip + 1) & 1  # the first index whose sign changes
+    out = list(coeffs)
+    out[start::2] = [-c for c in coeffs[start::2]]
+    return out
+
+
+def _map_s_list(lo: int, coeffs: list[int], k: int) -> _Slice | None:
+    """The slice s^lo * coeffs under s -> s^k: kept for k = 1, reversed for
+    k = -1, spread with stride |k| for |k| >= 2 (reversed if k < 0), and
+    summed to one coefficient for k = 0; None if that sum is zero."""
+    if k == 0:
+        total = sum(coeffs)
+        return (0, [total]) if total else None
+    if k < 0:
+        lo, coeffs = lo + len(coeffs) - 1, coeffs[::-1]
+    step = abs(k)
+    if step > 1:
+        spread = [0] * ((len(coeffs) - 1) * step + 1)
+        spread[::step] = coeffs
+        coeffs = spread
+    return k * lo, coeffs
 
 
 ZERO = LaurentPolynomial()

@@ -353,6 +353,15 @@ def test_suite_at_its_default_degree_checks_every_identity_and_passes(line):
     assert run_suite(suite).lines() == [line]
 
 
+@pytest.mark.parametrize("suite, max_degree, checked", [
+    ("hookforms", 14, 1016), ("symmetry", 10, 139)])
+def test_substitution_suites_pass_past_their_default_degree(suite, max_degree, checked):
+    # 1016 = 2 (p(0) + ... + p(14)) and 139 = p(0) + ... + p(10): longer
+    # slices than at the defaults go through s -> s^{-1} and s -> -s
+    report = run_suite(suite, max_degree)
+    assert (report.checked, report.failures) == (checked, 0)
+
+
 def test_suite_report_starts_at_zero_and_keeps_the_first_counterexample(monkeypatch):
     # run_suite counts what the checks yield into one SuiteReport value
     import skeinsolve.verify as verify_mod

@@ -30,7 +30,7 @@ from skeinsolve import (
 )
 import skeinsolve.partitions as partitions_mod
 from skeinsolve.partitions import BOX, EMPTY, branching_difference, hook_denominator
-from skeinsolve.ring import ONE, S, cyclotomic_product
+from skeinsolve.ring import ONE, S, ZERO, Exponent, LaurentPolynomial, cyclotomic_product
 from skeinsolve.verify import run_suite
 
 from strategies import partitions
@@ -234,8 +234,27 @@ def test_content_polynomial_642():
 
 
 def test_content_polynomial_empty_and_small():
-    assert content_polynomial(EMPTY).is_zero
+    assert content_polynomial(EMPTY) == ZERO
     assert content_polynomial(Partition((2, 1))) == Q ** -1 + 1 + Q
+
+
+def _content_polynomial_by_cells(p):
+    return LaurentPolynomial(Counter(Exponent(s=2 * c.content) for c in cells(p)))
+
+
+def test_content_polynomial_matches_a_cell_by_cell_reference():
+    # equal slice maps, so the one slice counted from the parts is trimmed
+    for p in partitions_through(12):
+        assert content_polynomial(p) == _content_polynomial_by_cells(p), p
+
+
+def test_content_polynomial_rejects_a_plain_tuple():
+    # whether or not the Partition equal to it was asked for first
+    with pytest.raises(TypeError, match="takes a Partition, got tuple"):
+        content_polynomial((2, 1))
+    assert content_polynomial(Partition((2, 1))) == Q ** -1 + 1 + Q
+    with pytest.raises(TypeError, match="takes a Partition, got tuple"):
+        content_polynomial((2, 1))
 
 
 @given(partitions())

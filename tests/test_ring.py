@@ -837,8 +837,7 @@ signed_monomial_images = st.one_of(
     st.builds(lambda sign, e: LaurentPolynomial({e: sign}), st.sampled_from((1, -1)), exponents()))
 
 
-@given(laurent_polynomials(), st.dictionaries(st.sampled_from(_VARIABLES), signed_monomial_images))
-def test_substitute_matches_a_per_term_reference(f, images):
+def _substitute_per_term(f, images):
     expected = ZERO
     for e, c in f.sorted_terms():
         term = monomial(c)
@@ -846,8 +845,32 @@ def test_substitute_matches_a_per_term_reference(f, images):
             image = images.get(name, monomial(1, **{name: 1}))
             term = term * (image if isinstance(image, LaurentPolynomial) else monomial(image)) ** k
         expected = expected + term
+    return expected
+
+
+@given(laurent_polynomials(), st.dictionaries(st.sampled_from(_VARIABLES), signed_monomial_images))
+def test_substitute_matches_a_per_term_reference(f, images):
     got = f.substitute(images)
-    assert got == expected
+    assert got == _substitute_per_term(f, images)
+    _assert_canonical(got)
+
+
+@pytest.mark.parametrize("f, images, expected", [
+    (G * S + S, {"g": 1}, 2 * S),
+    (A * S - S, {"a": 1}, ZERO),
+    (1 + S + S ** 2, {"s": 1}, 3),
+    (1 - S + S ** 2, {"s": -1}, 3),
+    (1 + 2 * S + 3 * S ** 3, {"s": -S ** -1}, 1 - 2 * S ** -1 - 3 * S ** -3),
+    (1 + 2 * S - S ** 2, {"s": S ** 2}, 1 + 2 * S ** 2 - S ** 4),
+    (S ** -1 + 2 * A * S ** 2, {"s": A}, A ** -1 + 2 * A ** 3),
+    (S - A, {"s": A}, ZERO),
+], ids=["slices-merge", "merge-cancels", "s-to-one", "s-to-minus-one", "s-reversed-negated",
+        "s-stride-two", "s-leaves-s", "terms-cancel-across-slices"])
+def test_substitute_maps_slices_as_the_per_term_reference_does(f, images, expected):
+    # slices whose keys collide merge, a sum that cancels leaves no slice,
+    # and s -> +-s^k maps each slice's list in one piece
+    got = f.substitute(images)
+    assert got == expected == _substitute_per_term(f, images)
     _assert_canonical(got)
 
 
