@@ -17,8 +17,8 @@ SCHEMA_VERSION = 1
 _HOMES = {
     "ring": (
         "A", "AL", "DenominatorNotSUnivariateError", "Exponent", "G",
-        "LaurentPolynomial", "ONE", "Q", "RationalFunction", "S",
-        "SignedMonomial", "ZERO", "monomial", "q_int",
+        "LaurentPolynomial", "ONE", "Q", "RationalFunction", "S", "ZERO",
+        "monomial", "q_int",
     ),
     "partitions": (
         "BOX", "Cell", "EMPTY", "EmptyPartitionError", "Partition",

@@ -227,7 +227,7 @@ def _cmd_solve_coefficients(args) -> int:
     _emit(args.format,
           {"kind": "coefficient-solutions", "geometry": args.geometry,
            "count": len(solutions)},
-          ({gen.value: sm.to_polynomial() for gen, sm in sol}
+          ({gen.value: sm for gen, sm in sol}
            for sol in ordered),
           (f"solution {i}: " + ", ".join(f"{gen.value} = {sm}" for gen, sm in sol)
            for i, sol in enumerate(ordered, start=1)))

@@ -36,31 +36,6 @@ ZERO_EXP = Exponent()
 VARIABLES = ("s", "a", "aL", "g")
 
 
-def _exp_add(x: Exponent, y: Exponent) -> Exponent:
-    return Exponent(x.s + y.s, x.a + y.a, x.aL + y.aL, x.g + y.g)
-
-
-def _exp_neg(x: Exponent) -> Exponent:
-    return Exponent(-x.s, -x.a, -x.aL, -x.g)
-
-
-def _exp_scale(x: Exponent, k: int) -> Exponent:
-    return Exponent(k * x.s, k * x.a, k * x.aL, k * x.g)
-
-
-class SignedMonomial(NamedTuple):
-    """A single monomial with coefficient +1 or -1."""
-
-    sign: int
-    exponent: Exponent
-
-    def to_polynomial(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({self.exponent: self.sign})
-
-    def __str__(self) -> str:
-        return str(self.to_polynomial())
-
-
 def _power_str(base: str, e: int) -> str:
     # braces only around multi-character exponents, TeX style
     if e == 1:
@@ -114,7 +89,8 @@ class LaurentPolynomial:
     constructor takes a term map Exponent -> coefficient, reads every
     coefficient and exponent through operator.index, as monomial() does, so
     a float, a string or None raises TypeError, and drops zero
-    coefficients.  Arithmetic accepts polynomials and ints.  Instances are
+    coefficients.  Arithmetic accepts polynomials and ints, the ints read
+    through operator.index too, so True is stored as 1.  Instances are
     immutable: all operations return new polynomials, which may share
     coefficient lists, so no list is changed once stored.
     """
@@ -159,15 +135,6 @@ class LaurentPolynomial:
         """The number of nonzero terms."""
         return sum([len(coeffs) - coeffs.count(0) for _, coeffs in self._slices.values()])
 
-    def as_signed_monomial(self) -> SignedMonomial | None:
-        """The term as a SignedMonomial, if the polynomial is one; else None."""
-        if len(self._slices) != 1:
-            return None
-        ((a, aL, g), (lo, coeffs)), = self._slices.items()
-        if len(coeffs) != 1 or coeffs[0] not in (1, -1):
-            return None
-        return SignedMonomial(coeffs[0], Exponent(lo, a, aL, g))
-
     def content(self) -> int:
         """Nonnegative gcd of all integer coefficients (0 for the zero polynomial)."""
         c = 0
@@ -189,6 +156,7 @@ class LaurentPolynomial:
         if isinstance(x, LaurentPolynomial):
             return x
         if isinstance(x, int):
+            x = index(x)  # a bool is stored as the int it equals
             return _new_poly({_S_KEY: (0, [x])} if x else {})
         return NotImplemented
 
@@ -245,10 +213,11 @@ class LaurentPolynomial:
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
-            sm = self.as_signed_monomial()
-            if sm is None:
+            unit = _unit_term(self)
+            if unit is None:
                 raise ValueError("negative powers require a monomial with coefficient +/-1")
-            return LaurentPolynomial({_exp_scale(sm.exponent, n): sm.sign ** (n & 1)})
+            sign, exponent = unit
+            return monomial(sign ** (n & 1), *(n * e for e in exponent))
         # square only while bits remain, and start from the first set bit
         result = None
         base = self
@@ -282,36 +251,37 @@ class LaurentPolynomial:
     def substitute(self, images: Mapping[str, PolyLike]) -> "LaurentPolynomial":
         """Ring endomorphism mapping each named variable to a signed monomial.
 
-        Every image must be a single Laurent monomial with coefficient +1
-        or -1, e.g. ``{"a": A**-1, "s": -S}``: ValueError if it is another
-        polynomial or int, TypeError if it is neither.
+        Every image must be a one-term polynomial with coefficient +1 or
+        -1, e.g. ``{"a": A**-1, "s": -S}``, whose sign and exponent
+        _unit_term reads: ValueError if it is another polynomial or int,
+        TypeError if it is neither.
 
         Stored slices map whole: a slice's new key, s shift and sign are
         read once, and when s maps to +-s^k alone its list maps to one list
         (_map_s_list); otherwise each term gets its own key.  _add_slice
         merges the pieces whose keys collide and drops a sum that cancels.
         """
-        monomials: dict[str, SignedMonomial] = {}
+        units: dict[str, tuple[int, Exponent]] = {}
         for name, img in images.items():
             if name not in VARIABLES:
                 raise ValueError(f"unknown variable {name!r}")
             poly = self._coerce(img)
             if poly is NotImplemented:
                 raise TypeError(f"image of {name} must be a Laurent polynomial or int")
-            sm = poly.as_signed_monomial()
-            if sm is None:
+            unit = _unit_term(poly)
+            if unit is None:
                 raise ValueError(f"image of {name} must be a signed monomial")
-            monomials[name] = sm
+            units[name] = unit
         # column j of the matrix is the image exponent of variable j (its
         # unit vector if unmapped), and the sign flips with the parity of
         # the exponent sum over the negated variables; (ss, sa, sl, sg) is
         # the image of s, and so on
         columns = [Exponent(*(int(i == j) for i in range(4))) for j in range(4)]
         odd = [0, 0, 0, 0]
-        for name, sm in monomials.items():
+        for name, (sign, exponent) in units.items():
             j = VARIABLES.index(name)
-            columns[j] = sm.exponent
-            odd[j] = int(sm.sign < 0)
+            columns[j] = exponent
+            odd[j] = int(sign < 0)
         (ss, sa, sl, sg), (as_, aa, al, ag), (ls, la, ll, lg), (gs, ga, gl, gg) = columns
         os_, oa, ol, og = odd
         s_alone = not (sa or sl or sg)
@@ -353,6 +323,17 @@ def _new_poly(slices: dict[tuple[int, int, int], _Slice]) -> LaurentPolynomial:
     out = LaurentPolynomial.__new__(LaurentPolynomial)
     out._slices = slices
     return out
+
+
+def _unit_term(f: LaurentPolynomial) -> tuple[int, Exponent] | None:
+    """(sign, exponent) of f if f is one term with coefficient +1 or -1,
+    read off its single one-entry slice; else None."""
+    if len(f._slices) != 1:
+        return None
+    ((a, aL, g), (lo, coeffs)), = f._slices.items()
+    if coeffs not in ([1], [-1]):
+        return None
+    return coeffs[0], Exponent(lo, a, aL, g)
 
 
 def _sorted_rows(f: LaurentPolynomial) -> list[tuple[int, int, int, int, int]]:
@@ -880,8 +861,9 @@ def _remove_content(num: LaurentPolynomial,
     return num, den
 
 
-def monomial_ratio(x: RationalLike, y: RationalLike) -> SignedMonomial | None:
-    """The signed monomial m with x = m * y, if one exists, else None.
+def monomial_ratio(x: RationalLike, y: RationalLike) -> LaurentPolynomial | None:
+    """The signed monomial m with x = m * y, if one exists, else None; m is
+    a one-term LaurentPolynomial with coefficient +1 or -1.
 
     Works by cross-multiplication, so it applies even when x / y itself would
     not have an s-univariate denominator.
@@ -898,7 +880,5 @@ def monomial_ratio(x: RationalLike, y: RationalLike) -> SignedMonomial | None:
     (re, rc) = r.sorted_terms()[-1]
     if abs(pc) != abs(rc):
         return None
-    m = SignedMonomial(1 if pc == rc else -1, _exp_add(pe, _exp_neg(re)))
-    if p == r * m.to_polynomial():
-        return m
-    return None
+    m = monomial(1 if pc == rc else -1, *(i - j for i, j in zip(pe, re)))
+    return m if p == r * m else None

@@ -36,12 +36,10 @@ from .partitions import (
 from .ring import (
     A,
     AL,
-    Exponent,
     G,
     LaurentPolynomial,
     ONE,
     RationalFunction,
-    SignedMonomial,
     ZERO,
     cyclotomic_product,
     monomial,
@@ -70,10 +68,11 @@ class CoefficientTemplate(NamedTuple):
     coefficients 1 at the empty partition and psi_box at the box.
 
     Unknown coefficients, one per distinct generator, range over signed
-    monomials in a, aL, g with each exponent bounded by exponent_bound in
-    absolute value.  With psi_empty = 1 each unknown enters one of the two
-    equations: P10 at the empty partition with factor UNKNOT_VALUE, P01
-    and P11 at the box with factors 1 and aL.
+    monomials: one-term polynomials in a, aL, g (no s) with coefficient +1
+    or -1 and each exponent bounded by exponent_bound in absolute value.
+    With psi_empty = 1 each unknown enters one of the two equations: P10
+    at the empty partition with factor UNKNOT_VALUE, P01 and P11 at the
+    box with factors 1 and aL.
     """
 
     unknowns: tuple[Generator, ...]
@@ -253,18 +252,20 @@ def verify_annihilation(geom: Geometry | str, psi: SkeinVector) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_monomials(bound: int) -> list[SignedMonomial]:
+def _candidate_monomials(bound: int) -> list[LaurentPolynomial]:
     out = []
     for sign in (1, -1):
         for ea, eaL, eg in _cartesian(range(-bound, bound + 1), repeat=3):
-            out.append(SignedMonomial(sign, Exponent(0, ea, eaL, eg)))
+            out.append(monomial(sign, 0, ea, eaL, eg))
     return out
 
 
 def solve_monomial_coefficients(
-        template: CoefficientTemplate) -> list[dict[Generator, SignedMonomial]]:
+        template: CoefficientTemplate) -> list[dict[Generator, LaurentPolynomial]]:
     """All signed-monomial assignments to the template's unknowns for which
     the assembled operator kills the constrained part of the solution.
+    Each value is a one-term LaurentPolynomial with coefficient +1 or -1
+    and no power of s.
 
     A(phi) is linear in the coefficients, so its empty and box coefficients
     are linear equations in the unknowns that enter them.  Every unknown
@@ -276,8 +277,9 @@ def solve_monomial_coefficients(
     enumerated values determine it uniquely, and it is kept if it is itself
     a bounded signed monomial free of s.  The result is therefore exactly
     what an exhaustive search over all bounded assignments finds, each
-    assignment once, in a fixed order.  Raises NoSolutionError if it is
-    empty, and ValueError if an unknown is the unknot or is repeated.
+    assignment once, ordered by generator name, then sign, then exponent.
+    Raises NoSolutionError if it is empty, and ValueError if an unknown is
+    the unknot or is repeated.
     """
     unknowns = template.unknowns
     if Generator.UNKNOT in unknowns:
@@ -290,7 +292,7 @@ def solve_monomial_coefficients(
     candidates = _candidate_monomials(template.exponent_bound)
     allowed = set(candidates)  # the bounds, and no power of s
 
-    solutions: list[dict[Generator, SignedMonomial]] = [{}]
+    solutions: list[dict[Generator, LaurentPolynomial]] = [{}]
     free = list(unknowns)
     for p in (EMPTY, BOX):
         factor = {gen: images[gen].coefficient(p) for gen in unknowns}
@@ -300,7 +302,7 @@ def solve_monomial_coefficients(
         for assignment in solutions:
             residual = base.coefficient(p)
             for gen, sm in assignment.items():
-                residual = residual + factor[gen] * sm.to_polynomial()
+                residual = residual + factor[gen] * sm
             if not entering:
                 if residual.is_zero:
                     extended.append(assignment)
@@ -309,7 +311,7 @@ def solve_monomial_coefficients(
             for choice in _cartesian(candidates, repeat=len(enumerated)):
                 total = residual
                 for gen, sm in zip(enumerated, choice):
-                    total = total + factor[gen] * sm.to_polynomial()
+                    total = total + factor[gen] * sm
                 solved = monomial_ratio(-total, factor[last])
                 if solved in allowed:
                     extended.append({**assignment, **dict(zip(enumerated, choice)),
@@ -320,11 +322,12 @@ def solve_monomial_coefficients(
     confirmed = []
     for assignment in solutions:
         op = UNKNOT_OP + OperatorExpression(
-            [(sm.to_polynomial(), (gen,)) for gen, sm in assignment.items()])
+            [(sm, (gen,)) for gen, sm in assignment.items()])
         if op.apply(phi).is_zero:
             confirmed.append(assignment)
     if not confirmed:
         raise NoSolutionError("no signed-monomial assignment within bounds")
+    # a one-term sorted_terms() is [(exponent, sign)]: order by sign first
     confirmed.sort(key=lambda asg: sorted(
-        (gen.value, sm.sign, sm.exponent) for gen, sm in asg.items()))
+        (gen.value, c, e) for gen, sm in asg.items() for e, c in sm.sorted_terms()))
     return confirmed

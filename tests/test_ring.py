@@ -1,3 +1,4 @@
+import json
 import operator
 import re
 from fractions import Fraction
@@ -21,9 +22,9 @@ from skeinsolve import (
     monomial,
     q_int,
 )
+from skeinsolve.partitions import EMPTY
 from skeinsolve.ring import (
     Exponent,
-    SignedMonomial,
     _as_int_poly,
     _list_exact_div,
     _list_gcd,
@@ -32,6 +33,8 @@ from skeinsolve.ring import (
     monomial_ratio,
     product_s,
 )
+from skeinsolve.serialize import dump_line, rf_from_record
+from skeinsolve.skein import Generator, OperatorExpression, SkeinVector
 
 import skeinsolve.ring as ring_mod
 
@@ -182,8 +185,22 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
 
 def test_negative_power_of_monomial_only():
     assert (A * S) ** -2 == monomial(1, s=-2, a=-2)
+    assert (-A * G) ** -3 == -(A ** -3 * G ** -3)
+    assert (-S) ** -2 == S ** -2
     with pytest.raises(ValueError):
         (S + 1) ** -1
+    with pytest.raises(ValueError):
+        (2 * S) ** -1
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("var", (S, A, AL, G), ids=("s", "a", "aL", "g"))
+def test_negative_power_inverts_a_unit_monomial(var, sign, n):
+    m = var if sign > 0 else -var
+    inverse = m ** -n
+    _assert_canonical(inverse)
+    assert inverse * m ** n == ONE
 
 
 @pytest.mark.parametrize("args, kwargs", (
@@ -209,6 +226,42 @@ def test_constructor_rejects_a_value_that_is_no_integer(terms):
 def test_constructor_reads_a_bool_as_the_int_it_is():
     assert str(LaurentPolynomial({Exponent(): True})) == "1"
     assert LaurentPolynomial({Exponent(s=True): 2}) == 2 * S
+
+
+def _stored_coefficients(x) -> list:
+    """Every entry of the coefficient lists that x stores."""
+    if isinstance(x, LaurentPolynomial):
+        return [c for _, coeffs in x._slices.values() for c in coeffs]
+    if isinstance(x, RationalFunction):
+        return _stored_coefficients(x.numerator) + _stored_coefficients(x.denominator)
+    if isinstance(x, OperatorExpression):
+        return [c for coeff, _ in x._terms for c in _stored_coefficients(coeff)]
+    return [c for _, rf in x.items() for c in _stored_coefficients(rf)]
+
+
+_BOOL_OPERANDS = {
+    "poly-sum": lambda one: S + one,
+    "poly-reflected-sum": lambda one: one + S,
+    "rf": lambda one: RationalFunction(one),
+    "rf-sum": lambda one: RationalFunction(S) + one,
+    "operator": lambda one: OperatorExpression([(one, (Generator.P01,))]),
+    "skein-vector": lambda one: SkeinVector({EMPTY: one}, 0),
+}
+
+
+@pytest.mark.parametrize("make", _BOOL_OPERANDS.values(), ids=_BOOL_OPERANDS)
+def test_an_operand_true_is_stored_as_1(make):
+    got, want = make(True), make(1)
+    assert str(got) == str(want)
+    assert repr(got) == repr(want)
+    assert got == want
+    assert all(type(c) is int for c in _stored_coefficients(got))
+
+
+def test_an_operand_true_is_written_as_1():
+    line = dump_line(RationalFunction(S + True))
+    assert line == dump_line(RationalFunction(S + 1))
+    assert rf_from_record(json.loads(line)) == RationalFunction(S + 1)
 
 
 def test_monomial_examples():
@@ -589,10 +642,8 @@ def test_rf_division_by_zero():
 
 
 @pytest.mark.parametrize("args", [(1.5,), ("x",), (1, None),
-                                  (RationalFunction(S),), (1, RationalFunction(S)),
-                                  (SignedMonomial(1, Exponent(s=1)),)],
-                         ids=["float", "str", "none", "rf-numerator", "rf-denominator",
-                              "signed-monomial"])
+                                  (RationalFunction(S),), (1, RationalFunction(S))],
+                         ids=["float", "str", "none", "rf-numerator", "rf-denominator"])
 def test_rf_rejects_arguments_that_are_not_polynomials(args):
     with pytest.raises(TypeError):
         RationalFunction(*args)
@@ -810,8 +861,7 @@ def test_substitute_illegal_when_denominator_leaves_s():
         x.substitute({"s": A})
 
 
-@pytest.mark.parametrize("image", ["x", 1.5, SignedMonomial(1, Exponent(s=1))],
-                         ids=["str", "float", "signed-monomial"])
+@pytest.mark.parametrize("image", ["x", 1.5], ids=["str", "float"])
 def test_substitute_rejects_an_image_that_is_no_polynomial(image):
     with pytest.raises(TypeError, match="image of s"):
         S.substitute({"s": image})
@@ -911,11 +961,22 @@ def test_memos_raise_for_a_float_whether_or_not_its_int_came_first(int_first):
 
 def test_monomial_ratio():
     u = RationalFunction(AL - AL ** -1, Z)
-    assert monomial_ratio(-u, u) == SignedMonomial(-1, Exponent())
+    assert monomial_ratio(-u, u) == -ONE
     x = RationalFunction(G * (A - A ** -1), Z)
-    assert monomial_ratio(x * monomial(1, a=2, g=-1), x) == SignedMonomial(
-        1, Exponent(a=2, g=-1))
+    got = monomial_ratio(x * monomial(1, a=2, g=-1), x)
+    assert isinstance(got, LaurentPolynomial)
+    assert got == monomial(1, a=2, g=-1)
     assert monomial_ratio(x, u) is None
+
+
+@given(st.sampled_from((1, -1)), exponents(), rational_functions())
+def test_monomial_ratio_recovers_a_signed_monomial_factor(sign, e, y):
+    assume(not y.is_zero)
+    m = monomial(sign, *e)
+    got = monomial_ratio(m * y, y)
+    assert isinstance(got, LaurentPolynomial)
+    assert got == m
+    assert monomial_ratio(2 * m * y, y) is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from skeinsolve import (
     G,
     Generator,
     Geometry,
+    LaurentPolynomial,
     NoSolutionError,
+    ONE,
     OperatorExpression,
     PRESETS,
     Partition,
@@ -37,7 +39,7 @@ from skeinsolve import (
     verify_annihilation,
 )
 from skeinsolve.partitions import BOX, EMPTY, cells
-from skeinsolve.ring import Exponent, SignedMonomial
+from skeinsolve.ring import Exponent
 from skeinsolve.skein import P01_OP, P10_OP, P11_OP, UNKNOT_OP
 from skeinsolve.verify import run_suite
 
@@ -353,16 +355,14 @@ def test_swap_symmetry_moderate():
 
 def test_c3_coefficients_unique():
     [solution] = solve_monomial_coefficients(TEMPLATES["c3"])
-    assert solution[Generator.P10] == SignedMonomial(-1, Exponent())
-    assert solution[Generator.P01] == SignedMonomial(1, Exponent(aL=1, g=1))
+    assert all(isinstance(sm, LaurentPolynomial) for sm in solution.values())
+    assert solution[Generator.P10] == -ONE
+    assert solution[Generator.P01] == monomial(1, aL=1, g=1)
 
 
 def test_unknot_coefficients_two_branches():
     solutions = solve_monomial_coefficients(TEMPLATES["unknot"])
-    as_sets = {
-        tuple(sorted((gen.value, sm.sign, sm.exponent) for gen, sm in sol.items()))
-        for sol in solutions
-    }
+    as_sets = {tuple(_solution_key(sol)) for sol in solutions}
     branch_one = (
         ("P01", 1, Exponent(a=1, aL=1, g=1)),
         ("P10", -1, Exponent()),
@@ -399,7 +399,7 @@ def test_no_solution_without_box_term():
 
 def _assembled(solution) -> OperatorExpression:
     return UNKNOT_OP + OperatorExpression(
-        [(sm.to_polynomial(), (gen,)) for gen, sm in solution.items()])
+        [(sm, (gen,)) for gen, sm in solution.items()])
 
 
 def test_solved_operators_annihilate_their_geometries():
@@ -449,7 +449,9 @@ def _mod_prime(x) -> int:
 
 
 def _solution_key(solution):
-    return sorted((gen.value, sm.sign, sm.exponent) for gen, sm in solution.items())
+    # (generator, sign, exponent) per term; a value of two terms adds a row
+    return sorted((gen.value, c, e) for gen, sm in solution.items()
+                  for e, c in sm.sorted_terms())
 
 
 def _brute_force_coefficients(template):
@@ -458,10 +460,10 @@ def _brute_force_coefficients(template):
     images = [OperatorExpression.generator(gen).apply(phi)
               for gen in template.unknowns]
     bound = range(-template.exponent_bound, template.exponent_bound + 1)
-    monomials = [SignedMonomial(sign, Exponent(0, *e))
+    monomials = [monomial(sign, 0, *e)
                  for sign in (1, -1) for e in itertools.product(bound, repeat=3)]
     parts = (EMPTY, BOX)
-    tables = [[(sm, [_poly_mod_prime(sm.to_polynomial()) * _mod_prime(img.coefficient(p))
+    tables = [[(sm, [_poly_mod_prime(sm) * _mod_prime(img.coefficient(p))
                      for p in parts]) for sm in monomials] for img in images]
     targets = [_mod_prime(base.coefficient(p)) for p in parts]
     found = []
@@ -470,7 +472,7 @@ def _brute_force_coefficients(template):
                for i, t in enumerate(targets)):
             continue
         if all((base.coefficient(p) + sum(
-                (img.coefficient(p) * sm.to_polynomial()
+                (img.coefficient(p) * sm
                  for img, (sm, _) in zip(images, choice)),
                 RationalFunction(0))).is_zero for p in parts):
             found.append({gen: sm for gen, (sm, _) in zip(template.unknowns, choice)})

@@ -110,7 +110,7 @@ def test_warm_text_hit_loads_no_solver(tmp_path):
 EXPORTED = {
     "ring": ("A", "AL", "DenominatorNotSUnivariateError", "Exponent", "G",
              "LaurentPolynomial", "ONE", "Q", "RationalFunction", "S",
-             "SignedMonomial", "ZERO", "monomial", "q_int"),
+             "ZERO", "monomial", "q_int"),
     "partitions": ("BOX", "Cell", "EMPTY", "EmptyPartitionError", "Partition",
                    "addable_cells", "cells", "content_polynomial",
                    "enumerate_partitions", "hook_polynomial",
