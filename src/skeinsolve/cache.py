@@ -8,8 +8,8 @@ package version in the key keeps a newer solver from serving an older one's
 bytes.  Together they vouch for a hit, so a text read wraps its records as
 written instead of reducing them again; it still checks their shape, and the
 CLI treats records that do not read back as a miss.  A records read serves
-the stored bytes unparsed.  The directory comes from
-SKEINSOLVE_CACHE_DIR, falling back to the user cache root.
+the stored bytes unparsed.  The directory comes from SKEINSOLVE_CACHE_DIR,
+falling back to XDG_CACHE_HOME if absolute, then to ~/.cache.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ def default_cache_dir() -> Path:
     env = os.environ.get(ENV_VAR)
     if env:
         return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    root = Path(xdg) if xdg else Path.home() / ".cache"
+    xdg = os.environ.get("XDG_CACHE_HOME", "")  # the XDG spec ignores a relative one
+    root = Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache"
     return root / "skeinsolve"
 
 
@@ -89,17 +89,19 @@ def _checksum_line(body: bytes) -> bytes:
 
 
 def _is_complete(text: str, geometry: str, max_degree: int) -> bool:
-    """Whether text has this key's header and one record per partition
-    through max_degree: every coefficient is a nonzero hook-content product,
-    so a cut entry has too few lines.  The records themselves are not
-    parsed.  A header json cannot decode, nested too deeply for it
+    """Whether text has this key's header and one record, a line that is not
+    blank, per partition through max_degree: every coefficient is a nonzero
+    hook-content product, so a cut entry has too few lines.  The records are
+    not parsed.  A header json cannot decode, nested too deeply for it
     included, is not this key's."""
+    lines = text.split("\n")  # the last is what follows the final newline
     try:
-        header = json.loads(text.partition("\n")[0])
+        header = json.loads(lines[0])
     except (ValueError, RecursionError):
         return False
     expected = {"kind": "skein-vector", "schema": SCHEMA_VERSION,
                 "geometry": geometry, "max_degree": max_degree}
     return (isinstance(header, dict)
             and all(header.get(k) == v for k, v in expected.items())
-            and text.count("\n") == 1 + len(partitions_through(max_degree)))
+            and len(lines) == 2 + len(partitions_through(max_degree))
+            and all(line.strip() for line in lines[:-1]))

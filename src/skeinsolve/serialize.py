@@ -39,12 +39,12 @@ def _coefficient(text) -> int:
     raise ValueError(f"coefficient is not a decimal string: {text!r}")
 
 
-def poly_from_records(records: list[dict], *, s_bound: int | None = None) -> LaurentPolynomial:
+def poly_from_records(records: list[dict], *, s_bound: int) -> LaurentPolynomial:
     """The canonical polynomial of a record list in any order: zero terms
     are dropped.  Raises ValueError if the records are not a list of term
     records with int exponents and decimal-string coefficients, if an
-    exponent is repeated, or if an s exponent lies beyond +-s_bound when one
-    is given; that is checked before the dense s-lists are allocated."""
+    exponent is repeated, or if an s exponent lies beyond +-s_bound, which
+    is required: it is checked before the dense s-lists are allocated."""
     if type(records) is not list:
         raise ValueError(f"polynomial records must be a list, got {records!r}")
     terms = {}
@@ -55,7 +55,7 @@ def poly_from_records(records: list[dict], *, s_bound: int | None = None) -> Lau
             raise ValueError(f"not a term record: {r!r}") from None
         if not (type(s) is type(a) is type(aL) is type(g) is int):
             raise ValueError(f"exponents must be ints: {r!r}")
-        if s_bound is not None and not -s_bound <= s <= s_bound:
+        if not -s_bound <= s <= s_bound:
             raise ValueError(f"s exponent beyond +-{s_bound}: {r!r}")
         terms[(s, a, aL, g)] = _coefficient(text)
     if len(terms) != len(records):
@@ -63,7 +63,7 @@ def poly_from_records(records: list[dict], *, s_bound: int | None = None) -> Lau
     return LaurentPolynomial(terms)
 
 
-def rf_from_record(record: dict, *, s_bound: int | None = None) -> RationalFunction:
+def rf_from_record(record: dict, *, s_bound: int) -> RationalFunction:
     """The value dump_line wrote, wrapped as read, without a second reduction.
 
     dump_line writes only reduced values, and a cache entry's sha256 line and
@@ -72,7 +72,7 @@ def rf_from_record(record: dict, *, s_bound: int | None = None) -> RationalFunct
     as they are, reduced or not.  The denominator must still be in the
     normal form dump_line writes, a nonzero polynomial in s with a nonzero
     constant term and a positive leading coefficient: ValueError if not.
-    s_bound bounds the s exponents as in poly_from_records.
+    The required s_bound bounds the s exponents as in poly_from_records.
     """
     num = poly_from_records(_field(record, "num"), s_bound=s_bound)
     den = poly_from_records(_field(record, "den"), s_bound=s_bound)
@@ -168,9 +168,9 @@ def dumps_records(records: Iterable[dict]) -> str:
 
 
 def loads_records(text: str) -> list[dict]:
-    """The value of each nonblank line; ValueError for a line json cannot
-    decode, one nested too deeply for its recursion limit included."""
+    """The value of each line; ValueError for a line json cannot decode, a
+    blank one and one nested too deeply for its recursion limit included."""
     try:
-        return [json.loads(line) for line in text.splitlines() if line.strip()]
+        return [json.loads(line) for line in text.splitlines()]
     except RecursionError:
         raise ValueError("a record is nested too deeply to decode") from None

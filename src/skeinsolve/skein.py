@@ -16,13 +16,12 @@ alone, from here.  P11's per-box form is the closed expression for
 (q^{1/2} - q^{-1/2})^{-1} [P10, P01]; the raw commutator is kept available
 through OperatorExpression composition as an independent cross-check.
 
-The generator table's entries apply_unknot, apply_p10, apply_p01 and
-apply_p11, internal to this module, act on one basis vector W_lambda
-truncated at n and return {mu: (numerator, k)}, meaning numerator / D^k
-with D = UNKNOT_VALUE.denominator.  OperatorExpression.apply composes each
-word on W_lambda with Laurent products alone and builds one reduced
-coefficient per partition mu of the image, which it multiplies by the
-input's coefficient of lambda.
+The generator table _APPLY gives each generator's action on a partition
+lambda alone, as {mu: numerator}.  OperatorExpression.apply reads the rest
+from _DIAGONAL, the generators O and P10 that keep lambda: a raising letter
+on a partition of the truncation degree adds nothing, and a word's
+numerators lie over D^k, D = UNKNOT_VALUE.denominator and k its number of
+diagonal letters.  It builds one reduced coefficient per mu of the image.
 
 Each operation has one path: both constructors normalize what they are
 handed, a difference is a sum with a scale by -1, and an operator's scale
@@ -169,30 +168,28 @@ def box_weight(gen: Generator, content: int) -> LaurentPolynomial:
     raise ValueError(f"{gen.value} adds no box")
 
 
-_D = UNKNOT_VALUE.denominator  # each action is {mu: (numerator, k)}, over D^k
+_D = UNKNOT_VALUE.denominator
+_DIAGONAL = frozenset({Generator.UNKNOT, Generator.P10})  # keep lambda; numerators over D
 
 
-def apply_unknot(lam: Partition, n: int) -> dict[Partition, tuple[LaurentPolynomial, int]]:
-    return {lam: (UNKNOT_VALUE.numerator, 1)}
+def apply_unknot(lam: Partition) -> dict[Partition, LaurentPolynomial]:
+    return {lam: UNKNOT_VALUE.numerator}
 
 
-def apply_p10(lam: Partition, n: int) -> dict[Partition, tuple[LaurentPolynomial, int]]:
-    return {lam: (UNKNOT_VALUE.numerator + diagonal_part(lam) * _D, 1)}
+def apply_p10(lam: Partition) -> dict[Partition, LaurentPolynomial]:
+    return {lam: UNKNOT_VALUE.numerator + diagonal_part(lam) * _D}
 
 
-def _apply_raising(lam: Partition, n: int,
-                   gen: Generator) -> dict[Partition, tuple[LaurentPolynomial, int]]:
-    if lam.size >= n:
-        return {}  # truncated
-    return {mu: (box_weight(gen, cell.content), 0) for mu, cell in addable_cells(lam)}
+def _apply_raising(lam: Partition, gen: Generator) -> dict[Partition, LaurentPolynomial]:
+    return {mu: box_weight(gen, cell.content) for mu, cell in addable_cells(lam)}
 
 
-def apply_p01(lam: Partition, n: int) -> dict[Partition, tuple[LaurentPolynomial, int]]:
-    return _apply_raising(lam, n, Generator.P01)
+def apply_p01(lam: Partition) -> dict[Partition, LaurentPolynomial]:
+    return _apply_raising(lam, Generator.P01)
 
 
-def apply_p11(lam: Partition, n: int) -> dict[Partition, tuple[LaurentPolynomial, int]]:
-    return _apply_raising(lam, n, Generator.P11)
+def apply_p11(lam: Partition) -> dict[Partition, LaurentPolynomial]:
+    return _apply_raising(lam, Generator.P11)
 
 
 _APPLY = {
@@ -263,29 +260,30 @@ class OperatorExpression:
         return a.compose(b) - b.compose(a)
 
     def apply(self, v: SkeinVector) -> SkeinVector:
-        """Linear extension of the generator actions, with the same truncation
-        degree as the input (raised terms beyond it are dropped).
-
-        It acts one basis vector at a time: each word runs on W_lambda as
-        numerators over powers of D; the terms at mu are brought to their
-        largest power of D, and that one RationalFunction is multiplied by
-        v's coefficient of lambda and added at mu.
-        """
+        """Linear extension of the generator actions at the input's truncation
+        degree n.  A raising letter on a partition of size n or more adds
+        nothing, and a word's numerators lie over D to its number of
+        _DIAGONAL letters.  Per basis vector W_lambda, the words that reach mu
+        are brought to their largest power of D, and that one RationalFunction
+        is multiplied by v's coefficient of lambda and added at mu."""
         n = v.max_degree
         out: dict[Partition, RationalFunction] = {}
         for lam, coeff in v.items():
             image: dict[Partition, list[tuple[LaurentPolynomial, int]]] = {}
             for c, word in self._terms:
-                cur = {lam: (c, 0)}
+                cur = {lam: c}
                 for gen in reversed(word):
                     step = {}
-                    for nu, (num, k) in cur.items():
-                        for mu, (f, j) in _APPLY[gen](nu, n).items():
+                    for nu, num in cur.items():
+                        if gen not in _DIAGONAL and nu.size >= n:
+                            continue  # truncated
+                        for mu, f in _APPLY[gen](nu).items():
                             term = num * f
-                            step[mu] = (step[mu][0] + term if mu in step else term, k + j)
+                            step[mu] = step[mu] + term if mu in step else term
                     cur = step
-                for mu, pair in cur.items():
-                    image.setdefault(mu, []).append(pair)
+                k = sum(gen in _DIAGONAL for gen in word)
+                for mu, num in cur.items():
+                    image.setdefault(mu, []).append((num, k))
             for mu, pairs in image.items():
                 top = max(k for _, k in pairs)
                 num = sum((f if k == top else f * _D ** (top - k) for f, k in pairs), ZERO)

@@ -186,6 +186,30 @@ def test_damaged_cache_entry_is_a_miss_and_rewritten(capsys, isolated_cache, fmt
     assert entry.read_bytes() == stored
 
 
+def _store_with_a_valid_checksum(entry, lines):
+    """Write the body lines to the cache entry under their own sha256 line."""
+    body = "\n".join(lines).encode("utf-8")
+    entry.write_bytes(b"sha256 " + hashlib.sha256(body).hexdigest().encode("ascii")
+                      + b"\n" + body)
+    return body
+
+
+@pytest.mark.parametrize("fmt", ("records", "text"))
+def test_entry_with_a_blank_line_is_a_miss_and_rewritten(capsys, isolated_cache, fmt):
+    # an empty line in place of the last record keeps the line count
+    args = ("psi", "--geometry", "c3", "--max-degree", "3", "--format", fmt)
+    code, fresh, _ = run_cli(capsys, *args, "--no-cache")
+    run_cli(capsys, *args)
+    [entry] = isolated_cache.glob("psi-c3-N3-schema*.jsonl")
+    stored = entry.read_bytes()
+    lines = stored.decode("utf-8").split("\n")[1:]
+    assert lines[-2].endswith('"partition":"1,1,1"}') and lines[-1] == ""
+    lines[-2] = ""
+    _store_with_a_valid_checksum(entry, lines)
+    assert run_cli(capsys, *args) == (0, fresh, "")
+    assert entry.read_bytes() == stored
+
+
 # edits of the partition-1 line of `psi --geometry c3 --max-degree 2`, each
 # stored under a valid sha256 line
 _UNREADABLE_RECORDS = {
@@ -219,9 +243,7 @@ def test_entry_with_unreadable_records_is_a_miss_and_rewritten(capsys, isolated_
     lines = stored.decode("utf-8").split("\n")[1:]
     assert lines[2].endswith('"partition":"1"}') and lines[2].count(old) == 1
     lines[2] = lines[2].replace(old, new)
-    body = "\n".join(lines).encode("utf-8")
-    entry.write_bytes(b"sha256 " + hashlib.sha256(body).hexdigest().encode("ascii")
-                      + b"\n" + body)
+    body = _store_with_a_valid_checksum(entry, lines)
     # records mode serves the stored bytes without parsing them
     assert run_cli(capsys, *args, "--format", "records") == (0, body.decode("utf-8"), "")
     assert run_cli(capsys, *args) == (0, fresh, "")
@@ -241,9 +263,7 @@ def test_entry_nested_too_deeply_for_json_is_a_miss_and_rewritten(
     stored = entry.read_bytes()
     lines = stored.decode("utf-8").split("\n")[1:]
     lines[line] = "[" * 100_000 + "]" * 100_000
-    body = "\n".join(lines).encode("utf-8")
-    entry.write_bytes(b"sha256 " + hashlib.sha256(body).hexdigest().encode("ascii")
-                      + b"\n" + body)
+    _store_with_a_valid_checksum(entry, lines)
     assert run_cli(capsys, *args, "--format", fmt) == (0, fresh, "")
     assert entry.read_bytes() == stored
     # the rewritten entry is a hit: nothing is solved again
@@ -291,17 +311,20 @@ def test_unusable_cache_dir_warns_and_still_answers(capsys, tmp_path, monkeypatc
     assert len(err.splitlines()) == 1 and err.startswith("warning:")
 
 
-@pytest.mark.parametrize("names,expected", (
-    (("SKEINSOLVE_CACHE_DIR", "XDG_CACHE_HOME"), "SKEINSOLVE_CACHE_DIR"),
-    (("XDG_CACHE_HOME",), "XDG_CACHE_HOME/skeinsolve"),
-    ((), "HOME/.cache/skeinsolve"),
-), ids=("own-variable", "xdg", "home"))
-def test_default_cache_dir_reads_the_environment(tmp_path, monkeypatch, names, expected):
+@pytest.mark.parametrize("env,expected", (
+    ({"SKEINSOLVE_CACHE_DIR": "{tmp}/SKEINSOLVE_CACHE_DIR",
+      "XDG_CACHE_HOME": "{tmp}/XDG_CACHE_HOME"}, "SKEINSOLVE_CACHE_DIR"),
+    ({"XDG_CACHE_HOME": "{tmp}/XDG_CACHE_HOME"}, "XDG_CACHE_HOME/skeinsolve"),
+    # the XDG Base Directory spec says to ignore a relative path
+    ({"XDG_CACHE_HOME": "XDG_CACHE_HOME"}, "HOME/.cache/skeinsolve"),
+    ({}, "HOME/.cache/skeinsolve"),
+), ids=("own-variable", "xdg", "xdg-relative", "home"))
+def test_default_cache_dir_reads_the_environment(tmp_path, monkeypatch, env, expected):
     monkeypatch.delenv("SKEINSOLVE_CACHE_DIR")
     monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
     monkeypatch.setenv("HOME", str(tmp_path / "HOME"))
-    for name in names:
-        monkeypatch.setenv(name, str(tmp_path / name))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value.format(tmp=tmp_path))
     assert default_cache_dir() == tmp_path / expected
 
 

@@ -28,6 +28,11 @@ from skeinsolve.serialize import (
 from strategies import exponents, laurent_polynomials, rational_functions
 
 
+# admits every s exponent the strategies draw: a polynomial's lie within
+# +-3, and a rational function's normalized parts within +-6
+_S_BOUND = 6
+
+
 def _terms_read_back(p):
     """p's term records as dumps_records writes them and loads_records reads
     them."""
@@ -37,13 +42,13 @@ def _terms_read_back(p):
 
 @given(laurent_polynomials())
 def test_poly_round_trip(p):
-    assert poly_from_records(_terms_read_back(p)) == p
+    assert poly_from_records(_terms_read_back(p), s_bound=_S_BOUND) == p
 
 
 @given(rational_functions())
 def test_rf_round_trip(x):
     [record] = loads_records(dumps_records([x]))
-    back = rf_from_record(record)
+    back = rf_from_record(record, s_bound=_S_BOUND)
     assert back.numerator == x.numerator
     assert back.denominator == x.denominator
 
@@ -59,7 +64,7 @@ def test_records_are_sorted_and_deterministic():
     p = poly_from_records([
         {"s": 2, "a": 0, "aL": 0, "g": 0, "c": "1"},
         {"s": -2, "a": 0, "aL": 0, "g": 0, "c": "-3"},
-    ])
+    ], s_bound=2)
     recs = _terms_read_back(p)
     assert recs == sorted(recs, key=lambda r: (r["s"], r["a"], r["aL"], r["g"]))
     assert dumps_records([{"terms": p}]) == (
@@ -72,21 +77,21 @@ def test_records_are_sorted_and_deterministic():
 def test_poly_from_records_is_canonical_in_any_order(p, rnd):
     records = _terms_read_back(p)
     rnd.shuffle(records)
-    back = poly_from_records(records)
+    back = poly_from_records(records, s_bound=_S_BOUND)
     assert back == p and str(back) == str(p)
     assert dumps_records([{"terms": back}]) == dumps_records([{"terms": p}])
 
 
 def test_poly_from_records_drops_zero_terms():
     one = {"s": 1, "a": 0, "aL": 0, "g": 0}
-    p = poly_from_records([dict(one, s=0, c="0"), dict(one, c="-1")])
+    p = poly_from_records([dict(one, s=0, c="0"), dict(one, c="-1")], s_bound=1)
     assert p.sorted_terms() == [(Exponent(s=1), -1)]
 
 
 def test_poly_from_records_rejects_a_repeated_exponent():
     one = {"s": 1, "a": 0, "aL": 0, "g": 0}
     with pytest.raises(ValueError):
-        poly_from_records([dict(one, c="2"), dict(one, c="-1")])
+        poly_from_records([dict(one, c="2"), dict(one, c="-1")], s_bound=1)
 
 
 @pytest.mark.parametrize("geometry", ("c3", "unknot", "unknot-prime"))
@@ -111,9 +116,9 @@ def test_read_back_wraps_records_without_reducing(geometry, monkeypatch):
 
 def test_big_coefficients_survive():
     for big in (10 ** 40 + 7, -(10 ** 40) - 7):
-        p = poly_from_records([{"s": 0, "a": 0, "aL": 0, "g": 0, "c": str(big)}])
+        p = poly_from_records([{"s": 0, "a": 0, "aL": 0, "g": 0, "c": str(big)}], s_bound=0)
         assert _terms_read_back(p)[0]["c"] == str(big)
-        assert poly_from_records(_terms_read_back(p)) == p
+        assert poly_from_records(_terms_read_back(p), s_bound=0) == p
 
 
 _TERM = {"s": 1, "a": 0, "aL": 0, "g": 0, "c": "-1"}
@@ -140,7 +145,7 @@ _TERM = {"s": 1, "a": 0, "aL": 0, "g": 0, "c": "-1"}
 ))
 def test_poly_from_records_rejects_a_malformed_record(records):
     with pytest.raises(ValueError):
-        poly_from_records(records)
+        poly_from_records(records, s_bound=1)
 
 
 _S = [{"s": 1, "a": 0, "aL": 0, "g": 0, "c": "1"}]
@@ -159,12 +164,31 @@ _DEN = [{"s": 0, "a": 0, "aL": 0, "g": 0, "c": "-1"}, {"s": 2, "a": 0, "aL": 0, 
 ))
 def test_rf_from_record_rejects_a_malformed_record(record):
     with pytest.raises(ValueError):
-        rf_from_record(record)
+        rf_from_record(record, s_bound=2)
 
 
 def test_rf_from_record_reads_a_normalized_denominator():
-    assert rf_from_record({"num": _S, "den": _DEN}) == RationalFunction(LaurentPolynomial(
-        {Exponent(s=1): 1}), LaurentPolynomial({Exponent(): -1, Exponent(s=2): 1}))
+    assert rf_from_record({"num": _S, "den": _DEN}, s_bound=2) == RationalFunction(
+        LaurentPolynomial({Exponent(s=1): 1}),
+        LaurentPolynomial({Exponent(): -1, Exponent(s=2): 1}))
+
+
+@pytest.mark.parametrize("read, value", ((poly_from_records, _S),
+                                         (rf_from_record, {"num": _S, "den": _DEN})),
+                         ids=("poly", "rf"))
+def test_readers_require_an_s_bound(read, value):
+    # without a bound, one record spanning s = 0 to 10**9 would allocate an
+    # s-list of 10**9 slots
+    with pytest.raises(TypeError):
+        read(value)
+    read(value, s_bound=2)
+
+
+@pytest.mark.parametrize("line", ("", " ", "\t \r"), ids=("empty", "space", "tab-cr"))
+def test_loads_records_refuses_a_blank_line(line):
+    assert loads_records('{"a":1}\n{"b":2}\n') == [{"a": 1}, {"b": 2}]
+    with pytest.raises(ValueError):
+        loads_records('{"a":1}\n' + line + '\n{"b":2}\n')
 
 
 @pytest.mark.parametrize("damage", (
