@@ -90,10 +90,10 @@ def _checksum_line(body: bytes) -> bytes:
 
 def _is_complete(text: str, geometry: str, max_degree: int) -> bool:
     """Whether text has this key's header and one record, a line that is not
-    blank, per partition through max_degree: every coefficient is a nonzero
-    hook-content product, so a cut entry has too few lines.  The records are
-    not parsed.  A header json cannot decode, nested too deeply for it
-    included, is not this key's."""
+    blank, per partition through max_degree, and nothing after the final
+    newline: every coefficient is a nonzero hook-content product, so a cut
+    entry has too few lines.  The records are not parsed.  A header json
+    cannot decode, nested too deeply for it included, is not this key's."""
     lines = text.split("\n")  # the last is what follows the final newline
     try:
         header = json.loads(lines[0])
@@ -104,4 +104,5 @@ def _is_complete(text: str, geometry: str, max_degree: int) -> bool:
     return (isinstance(header, dict)
             and all(header.get(k) == v for k, v in expected.items())
             and len(lines) == 2 + len(partitions_through(max_degree))
+            and not lines[-1]
             and all(line.strip() for line in lines[:-1]))

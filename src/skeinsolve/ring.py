@@ -860,25 +860,3 @@ def _remove_content(num: LaurentPolynomial,
                                for key, (lo, coeffs) in f._slices.items()}) for f in (num, den))
     return num, den
 
-
-def monomial_ratio(x: RationalLike, y: RationalLike) -> LaurentPolynomial | None:
-    """The signed monomial m with x = m * y, if one exists, else None; m is
-    a one-term LaurentPolynomial with coefficient +1 or -1.
-
-    Works by cross-multiplication, so it applies even when x / y itself would
-    not have an s-univariate denominator.
-    """
-    x = _coerce_rf(x)
-    y = _coerce_rf(y)
-    if y.is_zero or x.is_zero:
-        return None
-    p = x.numerator * y.denominator
-    r = y.numerator * x.denominator
-    if len(p) != len(r):
-        return None
-    (pe, pc) = p.sorted_terms()[-1]
-    (re, rc) = r.sorted_terms()[-1]
-    if abs(pc) != abs(rc):
-        return None
-    m = monomial(1 if pc == rc else -1, *(i - j for i, j in zip(pe, re)))
-    return m if p == r * m else None

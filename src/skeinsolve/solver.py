@@ -43,7 +43,6 @@ from .ring import (
     ZERO,
     cyclotomic_product,
     monomial,
-    monomial_ratio,
 )
 from .skein import (
     Generator,
@@ -72,7 +71,9 @@ class CoefficientTemplate(NamedTuple):
     or -1 and each exponent bounded by exponent_bound in absolute value.
     With psi_empty = 1 each unknown enters one of the two equations: P10
     at the empty partition with factor UNKNOT_VALUE, P01 and P11 at the
-    box with factors 1 and aL.
+    box with factors 1 and aL.  solve_monomial_coefficients enumerates all
+    but the last unknown of each equation over these signed monomials and
+    looks the last up in a table of the same ones.
     """
 
     unknowns: tuple[Generator, ...]
@@ -184,8 +185,7 @@ def _grown(geom: Geometry, p: Partition) -> tuple[LaurentPolynomial, LaurentPoly
     three geometries used last, and a fourth evicts the one used least
     recently.  H_p depends only on the multiset of p's hooks, which
     E_p = hook_denominator(p) determines, so _hook_product keeps one H per
-    multiset, shared by all geometries and by conjugates: one copy of each,
-    where a copy per geometry kept three.
+    multiset, shared by all geometries and by conjugates.
     """
     weight, grown = _growth(geom)
     chain, mu = [], p
@@ -267,17 +267,19 @@ def solve_monomial_coefficients(
     Each value is a one-term LaurentPolynomial with coefficient +1 or -1
     and no power of s.
 
-    A(phi) is linear in the coefficients, so its empty and box coefficients
-    are linear equations in the unknowns that enter them.  Every unknown
-    enters one of them, because psi_empty = 1: P10 the empty coefficient
-    with factor UNKNOT_VALUE, P01 and P11 the box coefficient with factors
-    1 and aL.  At each equation in turn, the still-unassigned unknowns that
-    enter it are enumerated over the bounded signed monomials, all but the
-    last, and the last is solved exactly: its factor is nonzero, so the
-    enumerated values determine it uniquely, and it is kept if it is itself
-    a bounded signed monomial free of s.  The result is therefore exactly
-    what an exhaustive search over all bounded assignments finds, each
-    assignment once, ordered by generator name, then sign, then exponent.
+    At truncation 1, A(phi) is its empty and box coefficients, and both are
+    linear equations in the unknowns that enter them.  Every unknown enters
+    one of them, because psi_empty = 1: P10 the empty coefficient with
+    factor UNKNOT_VALUE, P01 and P11 the box coefficient with factors 1 and
+    aL.  At each equation in turn, the still-unassigned unknowns that enter
+    it are enumerated over the bounded signed monomials, all but the last,
+    and the last is looked up: with f its nonzero factor, a table maps
+    f.numerator m to m for each candidate m, and m is kept when minus the
+    sum has that numerator over f's denominator.  That is f m exactly, as m
+    has no s.  The kept assignments satisfy both equations, and the result
+    is exactly what an exhaustive search over all bounded assignments finds,
+    each assignment once, ordered by generator name, then sign, then
+    exponent.
     Raises NoSolutionError if it is empty, and ValueError if an unknown is
     the unknot or is repeated.
     """
@@ -290,7 +292,6 @@ def solve_monomial_coefficients(
     base = UNKNOT_OP.apply(phi)
     images = {gen: OperatorExpression.generator(gen).apply(phi) for gen in unknowns}
     candidates = _candidate_monomials(template.exponent_bound)
-    allowed = set(candidates)  # the bounds, and no power of s
 
     solutions: list[dict[Generator, LaurentPolynomial]] = [{}]
     free = list(unknowns)
@@ -298,6 +299,10 @@ def solve_monomial_coefficients(
         factor = {gen: images[gen].coefficient(p) for gen in unknowns}
         entering = [gen for gen in free if not factor[gen].is_zero]
         free = [gen for gen in free if factor[gen].is_zero]
+        if entering:
+            *enumerated, last = entering
+            f = factor[last]
+            table = {f.numerator * m: m for m in candidates}
         extended = []
         for assignment in solutions:
             residual = base.coefficient(p)
@@ -307,27 +312,19 @@ def solve_monomial_coefficients(
                 if residual.is_zero:
                     extended.append(assignment)
                 continue
-            *enumerated, last = entering
             for choice in _cartesian(candidates, repeat=len(enumerated)):
                 total = residual
                 for gen, sm in zip(enumerated, choice):
                     total = total + factor[gen] * sm
-                solved = monomial_ratio(-total, factor[last])
-                if solved in allowed:
+                solved = table.get((-total).numerator)
+                if solved is not None and total.denominator == f.denominator:
                     extended.append({**assignment, **dict(zip(enumerated, choice)),
                                      last: solved})
         solutions = extended
 
-    # Confirm every candidate exactly on the constrained degrees.
-    confirmed = []
-    for assignment in solutions:
-        op = UNKNOT_OP + OperatorExpression(
-            [(sm, (gen,)) for gen, sm in assignment.items()])
-        if op.apply(phi).is_zero:
-            confirmed.append(assignment)
-    if not confirmed:
+    if not solutions:
         raise NoSolutionError("no signed-monomial assignment within bounds")
     # a one-term sorted_terms() is [(exponent, sign)]: order by sign first
-    confirmed.sort(key=lambda asg: sorted(
+    solutions.sort(key=lambda asg: sorted(
         (gen.value, c, e) for gen, sm in asg.items() for e, c in sm.sorted_terms()))
-    return confirmed
+    return solutions

@@ -210,6 +210,23 @@ def test_entry_with_a_blank_line_is_a_miss_and_rewritten(capsys, isolated_cache,
     assert entry.read_bytes() == stored
 
 
+@pytest.mark.parametrize("fmt", ("records", "text"))
+def test_entry_with_trailing_bytes_is_a_miss_and_rewritten(capsys, isolated_cache, fmt):
+    # bytes after the final newline, with no newline of their own, keep the
+    # line count
+    args = ("psi", "--geometry", "c3", "--max-degree", "1", "--format", fmt)
+    code, fresh, _ = run_cli(capsys, *args, "--no-cache")
+    run_cli(capsys, *args)
+    [entry] = isolated_cache.glob("psi-c3-N1-schema*.jsonl")
+    stored = entry.read_bytes()
+    lines = stored.decode("utf-8").split("\n")[1:]
+    assert lines[-1] == ""
+    lines[-1] = "not a record"
+    _store_with_a_valid_checksum(entry, lines)
+    assert run_cli(capsys, *args) == (0, fresh, "")
+    assert entry.read_bytes() == stored
+
+
 # edits of the partition-1 line of `psi --geometry c3 --max-degree 2`, each
 # stored under a valid sha256 line
 _UNREADABLE_RECORDS = {

@@ -30,7 +30,6 @@ from skeinsolve.ring import (
     _list_gcd,
     _list_prem,
     cyclotomic_product,
-    monomial_ratio,
     product_s,
 )
 from skeinsolve.serialize import dump_line, rf_from_record
@@ -952,31 +951,6 @@ def test_memos_raise_for_a_float_whether_or_not_its_int_came_first(int_first):
     with pytest.raises(TypeError):
         cyclotomic_product({2: 1.0})
     assert q_int(True) == ONE and cyclotomic_product({True: 1}) == Q - 1
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-def test_monomial_ratio():
-    u = RationalFunction(AL - AL ** -1, Z)
-    assert monomial_ratio(-u, u) == -ONE
-    x = RationalFunction(G * (A - A ** -1), Z)
-    got = monomial_ratio(x * monomial(1, a=2, g=-1), x)
-    assert isinstance(got, LaurentPolynomial)
-    assert got == monomial(1, a=2, g=-1)
-    assert monomial_ratio(x, u) is None
-
-
-@given(st.sampled_from((1, -1)), exponents(), rational_functions())
-def test_monomial_ratio_recovers_a_signed_monomial_factor(sign, e, y):
-    assume(not y.is_zero)
-    m = monomial(sign, *e)
-    got = monomial_ratio(m * y, y)
-    assert isinstance(got, LaurentPolynomial)
-    assert got == m
-    assert monomial_ratio(2 * m * y, y) is None
 
 
 # ---------------------------------------------------------------------------

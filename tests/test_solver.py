@@ -481,6 +481,7 @@ def _brute_force_coefficients(template):
 
 @pytest.mark.parametrize("template,count", (
     (TEMPLATES["c3"]._replace(exponent_bound=1), 1),
+    (TEMPLATES["c3"], 1),  # at its own bound, the one the CLI uses
     (TEMPLATES["unknot"]._replace(exponent_bound=1), 2),
     (CoefficientTemplate(  # P01 and aL P11 cancel in the box coefficient
         unknowns=(Generator.P10, Generator.P01, Generator.P11),
@@ -498,8 +499,13 @@ def _brute_force_coefficients(template):
         exponent_bound=1), 0),
     (CoefficientTemplate(
         unknowns=(Generator.P10,), psi_box=RationalFunction(0), exponent_bound=1), 1),
-), ids=("c3", "unknot", "cancelling-pair", "no-box-term", "p01-misses-empty",
-        "p10-box-left", "p10-box-zero"))
+    # P10 = -1 leaves a box coefficient whose numerator is a bounded monomial
+    # over a denominator that P01's factor 1 does not have
+    (CoefficientTemplate(
+        unknowns=(Generator.P10, Generator.P01),
+        psi_box=RationalFunction(G, Z_BRACKET * (1 + S)), exponent_bound=1), 0),
+), ids=("c3", "c3-bound-2", "unknot", "cancelling-pair", "no-box-term",
+        "p01-misses-empty", "p10-box-left", "p10-box-zero", "denominators-differ"))
 def test_coefficients_match_brute_force(template, count):
     expected = _brute_force_coefficients(template)
     assert len(expected) == count
